@@ -50,41 +50,6 @@ BENCHMARK(BM_BtPathRandomGraph)
     ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// Same workload, varying FixpointOptions::num_threads through BtOptions.
-// Rounds whose delta holds >= 32 facts shard (rule x delta-position) tasks
-// across the pool; the deterministic post-round merge keeps the model
-// bit-identical to the sequential run (see tests/parallel_fixpoint_test.cc),
-// so only wall time may differ. Speedups require actual cores: on a
-// single-CPU host every thread count reports the sequential time plus a
-// small pool overhead.
-void BM_BtPathThreads(benchmark::State& state) {
-  const int edges = static_cast<int>(state.range(0));
-  const int nodes = edges / 2;
-  std::mt19937 rng(12345);
-  ParsedUnit unit = bench::MustParse(
-      workload::PathProgramSource() +
-      workload::RandomGraphFactsSource(nodes, edges, &rng));
-  auto query = ParseGroundAtom("path(8, n0, n1)", unit.program.vocab());
-  if (!query.ok()) std::abort();
-  BtOptions options;
-  options.range = nodes + 2;
-  options.semi_naive = true;
-  options.num_threads = static_cast<int>(state.range(1));
-
-  for (auto _ : state) {
-    auto result = RunBt(unit.program, unit.database, *query, options);
-    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
-    benchmark::DoNotOptimize(result->answer);
-  }
-  // Not "threads": google-benchmark already emits a built-in field of that
-  // name (its own per-benchmark thread count) in the JSON output.
-  state.counters["num_threads"] = static_cast<double>(options.num_threads);
-  state.counters["facts_n"] = static_cast<double>(unit.database.size());
-}
-BENCHMARK(BM_BtPathThreads)
-    ->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({256, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_BtSkiResorts(benchmark::State& state) {
   const int resorts = static_cast<int>(state.range(0));
   ParsedUnit unit = bench::MustParse(workload::SkiScheduleSource(

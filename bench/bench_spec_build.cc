@@ -94,9 +94,7 @@ BENCHMARK(BM_SpecSkiFullYear)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 //
 //  * progressive workloads (path, ski, token rings) -> forward.*;
 //  * the `seen`-augmented rings are non-progressive -> period.* doubling
-//    plus the sequential fixpoint.* instruments;
-//  * a wide-delta product workload at num_threads = 4 -> fixpoint.parallel.*
-//    (shard timings and the imbalance gauge need real pool tasks).
+//    plus the fixpoint.* instruments.
 //
 // bench/ci.sh fails the build if any histogram in this dump is empty —
 // instruments are created at phase entry, so an empty one is dead
@@ -105,12 +103,11 @@ void DumpSpecBuildMetrics(const char* path) {
   MetricsRegistry metrics;
   TraceBuffer trace;
 
-  auto build_spec = [&](const std::string& src, int threads) {
+  auto build_spec = [&](const std::string& src) {
     ParsedUnit unit = bench::MustParse(src);
     PeriodDetectionOptions options;
     options.metrics = &metrics;
     options.trace = &trace;
-    options.num_threads = threads;
     auto spec = BuildSpecification(unit.program, unit.database, options);
     if (!spec.ok()) {
       LogError("bench.metered_spec_build_failed")
@@ -120,33 +117,11 @@ void DumpSpecBuildMetrics(const char* path) {
 
   std::mt19937 rng(777);
   build_spec(workload::PathProgramSource() +
-                 workload::RandomGraphFactsSource(32, 64, &rng),
-             /*threads=*/1);
+             workload::RandomGraphFactsSource(32, 64, &rng));
   build_spec(workload::SkiScheduleSource(3, /*year_len=*/28, /*winter_len=*/8,
-                                         /*holidays=*/2),
-             /*threads=*/1);
-  build_spec(workload::TokenRingSource({2, 3, 5}), /*threads=*/1);
-  build_spec(workload::TokenRingSource({2, 3, 5}) + "seen(X) :- tok(T, X).\n",
-             /*threads=*/1);
-
-  // Parallel rounds need a delta of >= 32 facts to leave the sequential
-  // fast path; a 48 x 48 product gives every pool worker real shards.
-  {
-    std::string src;
-    for (int i = 0; i < 48; ++i) src += "n(c" + std::to_string(i) + ").\n";
-    src += "p(X, Y) :- n(X), n(Y).\n";
-    ParsedUnit unit = bench::MustParse(src);
-    FixpointOptions fp;
-    fp.max_time = 4;
-    fp.num_threads = 4;
-    fp.metrics = &metrics;
-    fp.trace = &trace;
-    auto model = SemiNaiveFixpoint(unit.program, unit.database, fp);
-    if (!model.ok()) {
-      LogError("bench.metered_parallel_fixpoint_failed")
-          .Str("status", model.status().ToString());
-    }
-  }
+                                         /*holidays=*/2));
+  build_spec(workload::TokenRingSource({2, 3, 5}));
+  build_spec(workload::TokenRingSource({2, 3, 5}) + "seen(X) :- tok(T, X).\n");
 
   std::ofstream out(path);
   out << "{\"hardware_concurrency\":" << std::thread::hardware_concurrency()

@@ -1,6 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: a regular Release build + full ctest run, the same suite
-# again with CHRONOLOG_NUM_THREADS=4 (parallel evaluator everywhere), the
+# CI entry point: a regular Release build + full ctest run, the
 # chronolog-lint gate over every shipped example program, a chronolog_flow
 # soundness gate (static period/horizon bounds checked against the dynamic
 # detector), a clang-tidy pass (cppcheck fallback; skipped when neither
@@ -17,8 +16,7 @@
 # SIGINT shutdown), an
 # AddressSanitizer/UBSan build
 # (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run, and a
-# ThreadSanitizer build running the concurrency-heavy suites with
-# CHRONOLOG_NUM_THREADS=4.
+# ThreadSanitizer build running the serve, statements and metrics suites.
 #
 # Usage: bench/ci.sh [build_dir] [sanitizer_build_dir] [tsan_build_dir]
 set -euo pipefail
@@ -34,15 +32,6 @@ echo "== release build + tests ($BUILD_DIR) =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-
-# Second configuration: the full suite against the parallel semi-naive
-# evaluator. tests/chronolog_test_main.cc reads the variable into the
-# process-wide thread default, so every fixpoint in every test runs with 4
-# workers — results are thread-count independent by design, and this run
-# enforces it suite-wide.
-echo "== release tests, parallel evaluator (CHRONOLOG_NUM_THREADS=4) =="
-CHRONOLOG_NUM_THREADS=4 \
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # chronolog-lint gate: every shipped example program must lint clean
 # (exit 0, even with warnings promoted to errors), and the seeded-bad
@@ -526,16 +515,17 @@ ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # ThreadSanitizer: a separate tree (TSan is incompatible with ASan, the
-# CMake cache enforces that) running the concurrency-heavy suites — the
-# parallel fixpoint, snapshot hashing, period equivalence and metrics
-# tests — with the parallel evaluator forced on suite-wide.
-echo "== thread sanitizer build + parallel tests ($TSAN_BUILD_DIR) =="
+# CMake cache enforces that) running the suites with concurrent threads —
+# the HTTP server and query endpoints, the statement store, and the
+# metrics registry, trace buffer and logger they record into. Evaluation
+# itself is sequential.
+echo "== thread sanitizer build + concurrency tests ($TSAN_BUILD_DIR) =="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCHRONOLOG_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
-CHRONOLOG_NUM_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'Parallel|Snapshot|Metrics|EvalStats|PeriodEquivalence|Engine|Lint|Http|Obs|Log|Columnar|JoinPlan|QueryEndpoint|Statement'
+  -R 'Http|Obs|QueryEndpoint|Statement|Metrics|Trace|Log'
 
 echo "ci.sh: all checks passed"

@@ -2,9 +2,8 @@
 # Runs the headline benchmark suites (relational-specification builds,
 # algorithm-BT scaling, and end-to-end query serving over loopback HTTP) and
 # distils their google-benchmark JSON into BENCH_PR<n>.json: one record per
-# benchmark with the median wall time in milliseconds, the thread count it
-# ran with, and the temporal horizon (|T| representatives) where the
-# workload reports one.
+# benchmark with the median wall time in milliseconds and the temporal
+# horizon (|T| representatives) where the workload reports one.
 #
 # Usage: bench/run_benches.sh [build_dir] [output_json]
 # The default output name is BENCH_PR${BENCH_PR}.json (BENCH_PR defaults to
@@ -28,8 +27,8 @@ for bench in bench_spec_build bench_bt_scaling bench_serve_qps; do
   echo "== $bench (repetitions=$REPS) =="
   # bench_spec_build honours CHRONOLOG_METRICS_OUT: after the (unmetered)
   # timing runs it re-runs representative workloads with a chronolog_obs
-  # registry attached and dumps the per-phase histograms + parallel
-  # imbalance gauges, which get merged into the output below.
+  # registry attached and dumps the per-phase histograms and counters,
+  # which get merged into the output below.
   # bench_spec_build also honours CHRONOLOG_TRACE_OUT: a Chrome trace of
   # the largest spec-build configuration, copied next to the output JSON so
   # perf regressions come with an openable Perfetto timeline.
@@ -58,14 +57,12 @@ import os
 import sys
 
 tmp_dir, out_path, git_commit = sys.argv[1], sys.argv[2], sys.argv[3]
-# Host context matters for the threaded variants: on a single-CPU host they
-# report sequential time plus pool overhead, not a speedup. The commit hash
-# ties the snapshot to the exact tree it measured.
+# The commit hash ties the snapshot to the exact tree it measured.
 records = {"_host": {"cpus": os.cpu_count(), "git_commit": git_commit}}
 
 # chronolog_obs dump from the metered spec-build pass: the header records
 # std::thread::hardware_concurrency() as the engine saw it, and "_metrics"
-# carries the per-phase histograms and the parallel-imbalance gauge.
+# carries the per-phase histograms and counters.
 metrics_path = f"{tmp_dir}/spec_metrics.json"
 if os.path.exists(metrics_path):
     with open(metrics_path) as fh:
@@ -73,7 +70,6 @@ if os.path.exists(metrics_path):
     records["_host"]["hardware_concurrency"] = dump["hardware_concurrency"]
     records["_metrics"] = {
         "histograms": dump["metrics"]["histograms"],
-        "gauges": dump["metrics"]["gauges"],
         "counters": dump["metrics"]["counters"],
         "trace_events": dump["trace_events"],
     }
@@ -86,13 +82,11 @@ for suite in ("bench_spec_build", "bench_bt_scaling", "bench_serve_qps"):
             continue
         name = bench["run_name"]
         assert bench["time_unit"] == "ms", (name, bench["time_unit"])
-        # Workload counters (num_threads, T_size) are flattened into the
-        # entry by google-benchmark; absent counters mean a sequential run /
-        # no reported horizon.
+        # Workload counters (T_size) are flattened into the entry by
+        # google-benchmark; an absent counter means no reported horizon.
         record = {
             "suite": suite,
             "median_wall_ms": round(bench["real_time"], 3),
-            "threads": int(bench.get("num_threads", 1)),
         }
         horizon = bench.get("T_size")
         record["horizon"] = int(horizon) if horizon is not None else None

@@ -142,7 +142,6 @@ Result<bool> TemporalDatabase::AskBt(std::string_view ground_atom,
   CHRONOLOG_ASSIGN_OR_RETURN(GroundAtom atom,
                              ParseGroundAtom(ground_atom, vocab()));
   BtOptions options;
-  options.num_threads = options_.num_threads;
   options.metrics = metrics_.get();
   options.trace = trace_.get();
   if (range.has_value()) {

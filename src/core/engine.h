@@ -29,10 +29,8 @@ struct EngineOptions {
   PeriodDetectionOptions period;
   /// Budgets for the Theorem 5.2 inflationary decision procedure.
   PeriodDetectionOptions inflationary_check;
-  /// Worker threads for model materialisation (specification builds and
-  /// AskBt). Values > 1 are pushed into the sub-option structs above unless
-  /// those already request their own thread count. Results are
-  /// thread-count independent.
+  /// No-op: evaluation is sequential. Kept only because perfbench/ still
+  /// sets it; delete it together with those assignments.
   int num_threads = 1;
   /// When to run chronolog_lint over the program before evaluation.
   ///  - kOff    (default): no lint pass, behaviour identical to before.
@@ -175,14 +173,6 @@ class TemporalDatabase {
 
   TemporalDatabase(ParsedUnit unit, EngineOptions options)
       : unit_(std::move(unit)), options_(options) {
-    if (options_.num_threads > 1) {
-      if (options_.period.num_threads <= 1) {
-        options_.period.num_threads = options_.num_threads;
-      }
-      if (options_.inflationary_check.num_threads <= 1) {
-        options_.inflationary_check.num_threads = options_.num_threads;
-      }
-    }
     if (options_.collect_metrics) {
       // The sinks outlive every evaluator run (they are owned here and the
       // raw pointers stored in the option structs stay valid across moves

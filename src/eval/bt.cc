@@ -31,7 +31,6 @@ Result<BtResult> RunBt(const Program& program, const Database& db,
   FixpointOptions fp;
   fp.max_time = m;
   fp.max_facts = options.max_facts;
-  fp.num_threads = options.num_threads;
   fp.metrics = options.metrics;
   fp.trace = options.trace;
 

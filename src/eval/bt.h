@@ -34,9 +34,9 @@ struct BtOptions {
 
   uint64_t max_facts = 50'000'000;
 
-  /// Worker threads for the semi-naive fixpoint (ignored by the naive
-  /// path); 1 = sequential. The result is thread-count independent.
-  int num_threads = DefaultFixpointThreads();
+  /// No-op: evaluation is sequential. Kept only because perfbench/ still
+  /// sets it; delete it together with those assignments.
+  int num_threads = 1;
 
   /// Observability sinks (chronolog_obs), forwarded to the underlying
   /// fixpoint; null disables collection.

@@ -1,39 +1,14 @@
 #include "eval/fixpoint.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <memory>
 #include <vector>
 
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace chronolog {
 
 namespace {
-
-std::atomic<int> g_default_fixpoint_threads{1};
-
-}  // namespace
-
-int DefaultFixpointThreads() {
-  return g_default_fixpoint_threads.load(std::memory_order_relaxed);
-}
-
-void SetDefaultFixpointThreads(int n) {
-  g_default_fixpoint_threads.store(std::max(1, n), std::memory_order_relaxed);
-}
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 Status TooLarge(uint64_t max_facts) {
   return ResourceExhaustedError(
@@ -47,10 +22,10 @@ bool WithinBound(const Vocabulary& vocab, const GroundAtom& fact,
   return !vocab.predicate(fact.pred).is_temporal || fact.time <= max_time;
 }
 
-/// Rounds with a delta smaller than this stay sequential: waking the pool
-/// costs more than deriving a handful of facts (e.g. the depth-scaling
-/// workload inserts one fact per round for 10^5 rounds).
-constexpr std::size_t kParallelDeltaThreshold = 32;
+/// Rounds with a delta smaller than this skip the per-phase timers: clock
+/// reads would otherwise dominate workloads with one-fact rounds (the
+/// depth-scaling workload inserts one fact per round for 10^5 rounds).
+constexpr std::size_t kTimedDeltaThreshold = 32;
 
 /// One (rule, delta-position) unit of semi-naive work.
 struct TaskPair {
@@ -76,12 +51,6 @@ void InsertIntoFull(const Vocabulary& vocab, Interpretation& full,
 /// (rule, delta-position) pair — the initial delta may contain EDB facts —
 /// while later rounds skip positions whose body atom has a predicate no rule
 /// derives: after round one the delta only ever holds derived (IDB) facts.
-///
-/// With `options.num_threads > 1` each round's task list is sharded across a
-/// thread pool. Workers only read `full`/`delta` (concurrent-probe mode
-/// guards lazy index builds) and buffer derivations thread-locally; buffers
-/// are merged in task order after the round barrier, which reproduces the
-/// sequential insertion order exactly.
 Status RunSemiNaiveRounds(const Program& program,
                           const FixpointOptions& options, EvalStats* stats,
                           Interpretation& full, Interpretation&& delta_in) {
@@ -97,11 +66,6 @@ Status RunSemiNaiveRounds(const Program& program,
   Histogram* delta_hist = nullptr;
   Histogram* derive_hist = nullptr;
   Histogram* merge_hist = nullptr;
-  Counter* tasks_counter = nullptr;
-  Histogram* round_tasks_hist = nullptr;
-  Histogram* shard_hist = nullptr;
-  Gauge* imbalance_gauge = nullptr;
-  Counter* buffered_counter = nullptr;
   if (metrics != nullptr) {
     rounds_counter = metrics->counter("fixpoint.rounds");
     delta_hist = metrics->histogram("fixpoint.round.delta_facts");
@@ -138,17 +102,6 @@ Status RunSemiNaiveRounds(const Program& program,
     }
   }
 
-  const int num_threads = std::max(1, options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-  if (metrics != nullptr && pool != nullptr) {
-    tasks_counter = metrics->counter("fixpoint.parallel.tasks");
-    round_tasks_hist = metrics->histogram("fixpoint.parallel.round_tasks");
-    shard_hist = metrics->histogram("fixpoint.parallel.shard_derive_ns");
-    imbalance_gauge = metrics->gauge("fixpoint.parallel.imbalance");
-    buffered_counter = metrics->counter("fixpoint.parallel.buffered_facts");
-  }
-
   bool first_round = true;
   while (!delta.empty()) {
     ++stats->iterations;
@@ -167,15 +120,12 @@ Status RunSemiNaiveRounds(const Program& program,
     Interpretation next_delta(program.vocab_ptr());
     next_delta.DisableSnapshotHashing();
     bool overflow = false;
-    // Per-phase timers are sampled only on rounds with a non-trivial delta:
-    // clock reads would otherwise dominate workloads with 10^5 one-fact
-    // rounds (the depth-scaling benchmark). With a registry attached every
-    // round is timed — metered runs want the small rounds in the histogram.
+    // With a registry attached every round is timed — metered runs want the
+    // small rounds in the histogram.
     const bool timed =
-        metrics != nullptr || delta.size() >= kParallelDeltaThreshold;
+        metrics != nullptr || delta.size() >= kTimedDeltaThreshold;
 
-    if (pool == nullptr || delta.size() < kParallelDeltaThreshold ||
-        pairs.empty()) {
+    {
       TraceSpan derive_span(options.trace, "fixpoint.derive");
       PhaseTimer derive_timer(timed, &stats->derive_ms, derive_hist);
       for (const TaskPair& task : pairs) {
@@ -191,114 +141,6 @@ Status RunSemiNaiveRounds(const Program& program,
             });
         if (overflow) return TooLarge(options.max_facts);
       }
-    } else {
-      // Shard every (rule, position) pair across the pool; shards of one
-      // pair split the delta atom's candidate tuples round-robin.
-      struct Task {
-        TaskPair pair;
-        uint32_t shard;
-      };
-      const uint32_t shards = static_cast<uint32_t>(num_threads);
-      std::vector<Task> tasks;
-      tasks.reserve(pairs.size() * shards);
-      for (const TaskPair& pair : pairs) {
-        for (uint32_t s = 0; s < shards; ++s) tasks.push_back({pair, s});
-      }
-      if (tasks_counter != nullptr) tasks_counter->Add(tasks.size());
-      if (round_tasks_hist != nullptr) {
-        round_tasks_hist->RecordValue(tasks.size());
-      }
-
-      Interpretation buffer_proto(program.vocab_ptr());
-      buffer_proto.DisableSnapshotHashing();  // copies inherit the flag
-      std::vector<Interpretation> buffers(tasks.size(), buffer_proto);
-      std::vector<EvalStats> task_stats(tasks.size());
-      std::vector<double> task_ms(tasks.size(), 0.0);
-      std::atomic<bool> overflow_flag{false};
-      // Shared running total of facts buffered this round. The per-worker
-      // `full.size() + buffer.size()` check it replaces only tripped once a
-      // single buffer crossed the cap, so N threads could each grow to just
-      // under max_facts before the post-merge check fired (~N× max_facts
-      // transient memory). Against the shared total the round stops within
-      // ~num_threads emissions of the cap.
-      std::atomic<uint64_t> buffered_total{0};
-      // Build (or fetch) every task's join plan before fanning out: all
-      // shards of one (rule, pos) pair must run the same plan, and plan
-      // construction samples column statistics, which is single-threaded
-      // work (see RuleEvaluator::EnsurePlan).
-      for (const TaskPair& pair : pairs) {
-        evaluators[pair.rule].EnsurePlan(full, &delta, pair.pos,
-                                         /*time_bound=*/false);
-      }
-      full.SetConcurrentProbes(true);
-      delta.SetConcurrentProbes(true);
-      {
-        TraceSpan derive_span(options.trace, "fixpoint.derive");
-        PhaseTimer derive_timer(timed, &stats->derive_ms, derive_hist);
-        pool->ParallelFor(tasks.size(), [&](std::size_t i) {
-          const Clock::time_point task_start = Clock::now();
-          const Task& task = tasks[i];
-          Interpretation& buffer = buffers[i];
-          evaluators[task.pair.rule].Evaluate(
-              full, &delta, task.pair.pos, /*time_binding=*/std::nullopt,
-              &task_stats[i],
-              [&](GroundAtom&& fact) {
-                if (!WithinBound(vocab, fact, options.max_time)) return;
-                if (full.Contains(fact)) return;
-                if (overflow_flag.load(std::memory_order_relaxed)) return;
-                if (!buffer.Insert(fact.pred, fact.time,
-                                   std::move(fact.args))) {
-                  return;
-                }
-                const uint64_t buffered =
-                    buffered_total.fetch_add(1, std::memory_order_relaxed) +
-                    1;
-                if (full.size() + buffered > options.max_facts) {
-                  overflow_flag.store(true, std::memory_order_relaxed);
-                }
-              },
-              task.shard, shards);
-          task_ms[i] = MsSince(task_start);
-        });
-      }
-      full.SetConcurrentProbes(false);
-      delta.SetConcurrentProbes(false);
-      for (const EvalStats& ts : task_stats) stats->Add(ts);
-      if (buffered_counter != nullptr) {
-        buffered_counter->Add(buffered_total.load(std::memory_order_relaxed));
-      }
-      if (shard_hist != nullptr) {
-        double max_ms = 0;
-        double sum_ms = 0;
-        for (const double ms : task_ms) {
-          shard_hist->RecordMs(ms);
-          max_ms = std::max(max_ms, ms);
-          sum_ms += ms;
-        }
-        const double mean_ms = sum_ms / static_cast<double>(task_ms.size());
-        if (imbalance_gauge != nullptr && mean_ms > 0) {
-          imbalance_gauge->Set(max_ms / mean_ms);
-        }
-      }
-      if (overflow_flag.load()) return TooLarge(options.max_facts);
-
-      // Deterministic merge: task order reproduces the sequential
-      // insertion order (tasks are already ordered by (rule, pos, shard)).
-      {
-        TraceSpan merge_span(options.trace, "fixpoint.merge");
-        PhaseTimer merge_timer(/*enabled=*/true, &stats->merge_ms,
-                               merge_hist);
-        for (const Interpretation& buffer : buffers) {
-          buffer.ForEach(
-              [&](PredicateId pred, int64_t time, const Tuple& args) {
-                next_delta.Insert(pred, time, args);
-                if (full.size() + next_delta.size() > options.max_facts) {
-                  overflow = true;
-                }
-              });
-        }
-      }
-      if (overflow) return TooLarge(options.max_facts);
     }
 
     {

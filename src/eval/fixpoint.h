@@ -14,17 +14,6 @@ namespace chronolog {
 class MetricsRegistry;
 class TraceBuffer;
 
-/// Process-wide default for `FixpointOptions::num_threads` (and the
-/// mirroring fields in PeriodDetectionOptions / BtOptions). 1 unless
-/// overridden; lets a test harness or benchmark driver opt every evaluator
-/// into a thread count without plumbing an option through each call site —
-/// tests/chronolog_test_main.cc sets it from $CHRONOLOG_NUM_THREADS so the
-/// whole suite can run against the parallel evaluator.
-int DefaultFixpointThreads();
-/// Values below 1 are clamped to 1. Thread-safe, but intended to be called
-/// once at process start, before evaluators are constructed.
-void SetDefaultFixpointThreads(int n);
-
 /// Limits for bottom-up evaluation. `max_time` is the truncation bound `m` of
 /// algorithm BT: derived temporal facts beyond it are discarded, which makes
 /// every fixpoint below finite. `max_facts` guards against workloads that
@@ -35,12 +24,6 @@ struct FixpointOptions {
   /// Hash-join via lazily built column indexes; disable for the
   /// nested-loop baseline (experiment E8 ablation).
   bool use_index = true;
-  /// Worker threads for the semi-naive evaluator (1 = sequential, the
-  /// historical behaviour). Each round's (rule × delta-position) task list
-  /// is sharded across a thread pool; per-task buffers are merged in task
-  /// order after a barrier, so the result is identical to the sequential
-  /// path for every thread count.
-  int num_threads = DefaultFixpointThreads();
   /// Observability sinks (chronolog_obs, util/metrics.h + util/trace.h).
   /// Null disables collection at the cost of one branch per site; the
   /// engine wires these up when `EngineOptions::collect_metrics` is set.

@@ -1,10 +1,8 @@
 #include "eval/rule_eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "util/metrics.h"
@@ -79,20 +77,15 @@ struct RuleEvaluator::JoinPlan {
   std::vector<Step> steps;
   double est_steps_per_emit = 0;
   uint64_t replan_min_steps = kReplanMinSteps;
-  // Cumulative observations across evaluations (all shards), feeding the
-  // drift check in GetOrBuildPlan.
-  std::atomic<uint64_t> observed_steps{0};
-  std::atomic<uint64_t> observed_emits{0};
+  // Cumulative observations across evaluations, feeding the drift check in
+  // GetOrBuildPlan.
+  uint64_t observed_steps = 0;
+  uint64_t observed_emits = 0;
 };
 
-/// Per-evaluator plan store. Readers load the slot with one acquire;
-/// builders serialise on `mu`. Retired plans stay in `owned` so concurrent
-/// evaluations holding the old pointer remain valid for the evaluator's
-/// lifetime.
+/// Per-evaluator plan store: one plan per slot; a re-plan replaces its slot.
 struct RuleEvaluator::PlanCache {
-  std::mutex mu;
-  std::vector<std::atomic<JoinPlan*>> slots;
-  std::vector<std::unique_ptr<JoinPlan>> owned;
+  std::vector<std::unique_ptr<JoinPlan>> slots;
   Counter* plans = nullptr;
   Counter* hits = nullptr;
   Counter* replans = nullptr;
@@ -101,8 +94,6 @@ struct RuleEvaluator::PlanCache {
   Histogram* actual_hist = nullptr;
 
   PlanCache(std::size_t nslots, MetricsRegistry* metrics) : slots(nslots) {
-    // std::atomic<T*> is default-uninitialised; store explicitly.
-    for (auto& slot : slots) slot.store(nullptr, std::memory_order_relaxed);
     if (metrics != nullptr) {
       plans = metrics->counter("join.plans");
       hits = metrics->counter("join.plan_cache_hits");
@@ -248,77 +239,52 @@ std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
 
 RuleEvaluator::JoinPlan* RuleEvaluator::GetOrBuildPlan(
     const Interpretation& full, const Interpretation* delta, int delta_pos,
-    bool time_bound, bool allow_replan) const {
+    bool time_bound) const {
   PlanCache& cache = *plans_;
-  const std::size_t slot = SlotKey(delta_pos, time_bound);
-  JoinPlan* plan = cache.slots[slot].load(std::memory_order_acquire);
-  if (plan == nullptr) {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    plan = cache.slots[slot].load(std::memory_order_relaxed);
-    if (plan != nullptr) return plan;
-    std::unique_ptr<JoinPlan> fresh =
-        BuildPlan(full, delta, delta_pos, time_bound, /*use_prior=*/true);
-    plan = fresh.get();
-    cache.owned.push_back(std::move(fresh));
-    cache.slots[slot].store(plan, std::memory_order_release);
+  std::unique_ptr<JoinPlan>& slot = cache.slots[SlotKey(delta_pos, time_bound)];
+  if (slot == nullptr) {
+    slot = BuildPlan(full, delta, delta_pos, time_bound, /*use_prior=*/true);
     if (cache.plans != nullptr) cache.plans->Add();
     if (cache.est_hist != nullptr) {
       cache.est_hist->RecordValue(
-          static_cast<uint64_t>(plan->est_steps_per_emit));
+          static_cast<uint64_t>(slot->est_steps_per_emit));
     }
-    return plan;
+    return slot.get();
   }
   if (cache.hits != nullptr) cache.hits->Add();
-  if (!allow_replan) return plan;
 
   // Drift check: enough observation, and actual steps-per-emit far above
   // the estimate, trigger a rebuild against current statistics.
-  const uint64_t steps = plan->observed_steps.load(std::memory_order_relaxed);
-  if (steps < plan->replan_min_steps) return plan;
-  const uint64_t emits = plan->observed_emits.load(std::memory_order_relaxed);
-  const double actual = static_cast<double>(steps) /
-                        static_cast<double>(std::max<uint64_t>(1, emits));
-  if (actual <= kReplanFactor * std::max(1.0, plan->est_steps_per_emit)) {
-    return plan;
+  const JoinPlan& plan = *slot;
+  if (plan.observed_steps < plan.replan_min_steps) return slot.get();
+  const double actual =
+      static_cast<double>(plan.observed_steps) /
+      static_cast<double>(std::max<uint64_t>(1, plan.observed_emits));
+  if (actual <= kReplanFactor * std::max(1.0, plan.est_steps_per_emit)) {
+    return slot.get();
   }
-  std::lock_guard<std::mutex> lock(cache.mu);
-  JoinPlan* current = cache.slots[slot].load(std::memory_order_relaxed);
-  if (current != plan) return current;  // someone else already re-planned
   // Re-plans always use full greedy planning: a prior that drifted this far
   // above its estimate has been refuted by observation.
   std::unique_ptr<JoinPlan> fresh =
       BuildPlan(full, delta, delta_pos, time_bound, /*use_prior=*/false);
-  fresh->replan_min_steps = plan->replan_min_steps * 2;  // backoff
-  JoinPlan* next = fresh.get();
-  bool changed = fresh->steps.size() != plan->steps.size();
+  fresh->replan_min_steps = plan.replan_min_steps * 2;  // backoff
+  bool changed = fresh->steps.size() != plan.steps.size();
   for (std::size_t i = 0; !changed && i < fresh->steps.size(); ++i) {
-    changed = fresh->steps[i].pos != plan->steps[i].pos;
+    changed = fresh->steps[i].pos != plan.steps[i].pos;
   }
-  // The retired plan stays in `owned`: evaluations started under it may
-  // still be updating its observation counters.
-  cache.owned.push_back(std::move(fresh));
-  cache.slots[slot].store(next, std::memory_order_release);
+  slot = std::move(fresh);
   if (cache.replans != nullptr) cache.replans->Add();
   if (changed && cache.order_changed != nullptr) cache.order_changed->Add();
   if (cache.est_hist != nullptr) {
     cache.est_hist->RecordValue(
-        static_cast<uint64_t>(next->est_steps_per_emit));
+        static_cast<uint64_t>(slot->est_steps_per_emit));
   }
-  return next;
-}
-
-void RuleEvaluator::EnsurePlan(const Interpretation& full,
-                               const Interpretation* delta, int delta_pos,
-                               bool time_bound) const {
-  GetOrBuildPlan(full, delta, delta == nullptr ? -1 : delta_pos, time_bound,
-                 /*allow_replan=*/false);
+  return slot.get();
 }
 
 std::vector<uint32_t> RuleEvaluator::PlanOrderForTest(int delta_pos,
                                                       bool time_bound) const {
-  const JoinPlan* plan =
-      plans_->slots[SlotKey(delta_pos, time_bound)].load(
-          std::memory_order_acquire);
+  const JoinPlan* plan = plans_->slots[SlotKey(delta_pos, time_bound)].get();
   std::vector<uint32_t> order;
   if (plan == nullptr) return order;
   order.reserve(plan->steps.size());
@@ -328,8 +294,7 @@ std::vector<uint32_t> RuleEvaluator::PlanOrderForTest(int delta_pos,
 
 void RuleEvaluator::ExportPlans(std::vector<PlanSlotReport>* out) const {
   for (std::size_t slot = 0; slot < plans_->slots.size(); ++slot) {
-    const JoinPlan* plan =
-        plans_->slots[slot].load(std::memory_order_acquire);
+    const JoinPlan* plan = plans_->slots[slot].get();
     if (plan == nullptr) continue;
     PlanSlotReport report;
     // Inverse of SlotKey: slot = (delta_pos + 1) * 2 + time_bound.
@@ -342,10 +307,8 @@ void RuleEvaluator::ExportPlans(std::vector<PlanSlotReport>* out) const {
       report.probe_cols.push_back(s.probe_col);
     }
     report.est_steps_per_emit = plan->est_steps_per_emit;
-    report.observed_steps =
-        plan->observed_steps.load(std::memory_order_relaxed);
-    report.observed_emits =
-        plan->observed_emits.load(std::memory_order_relaxed);
+    report.observed_steps = plan->observed_steps;
+    report.observed_emits = plan->observed_emits;
     out->push_back(std::move(report));
   }
 }
@@ -353,10 +316,8 @@ void RuleEvaluator::ExportPlans(std::vector<PlanSlotReport>* out) const {
 void RuleEvaluator::Evaluate(
     const Interpretation& full, const Interpretation* delta, int delta_pos,
     std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
-    const std::function<void(GroundAtom&&)>& emit, uint32_t delta_shard,
-    uint32_t delta_num_shards) const {
-  EvaluateImpl(full, delta, delta_pos, time_binding, stats, &emit, nullptr,
-               delta_shard, delta_num_shards);
+    const std::function<void(GroundAtom&&)>& emit) const {
+  EvaluateImpl(full, delta, delta_pos, time_binding, stats, &emit, nullptr);
 }
 
 void RuleEvaluator::EvaluateWithBody(
@@ -364,8 +325,7 @@ void RuleEvaluator::EvaluateWithBody(
     std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
     const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>& emit)
     const {
-  EvaluateImpl(full, delta, delta_pos, time_binding, stats, nullptr, &emit,
-               /*delta_shard=*/0, /*delta_num_shards=*/1);
+  EvaluateImpl(full, delta, delta_pos, time_binding, stats, nullptr, &emit);
 }
 
 void RuleEvaluator::EvaluateImpl(
@@ -373,8 +333,7 @@ void RuleEvaluator::EvaluateImpl(
     std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
     const std::function<void(GroundAtom&&)>* emit,
     const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>*
-        emit_with_body,
-    uint32_t delta_shard, uint32_t delta_num_shards) const {
+        emit_with_body) const {
   Bindings bindings(rule_.num_vars());
   if (time_binding.has_value()) {
     bindings.bound[time_binding->first] = 1;
@@ -462,29 +421,20 @@ void RuleEvaluator::EvaluateImpl(
   const int norm_pos = delta == nullptr ? -1 : delta_pos;
   JoinPlan* plan = nullptr;
   if (nsteps > 0) {
-    // Re-planning swaps the cached plan in place, so it is only allowed
-    // while evaluation is provably single-threaded: an unsharded call
-    // outside a concurrent-probe (parallel) phase. (The column-statistics
-    // sampling it triggers is itself thread-safe.)
-    const bool allow_replan =
-        delta_num_shards == 1 && !full.concurrent_probes();
-    plan = GetOrBuildPlan(full, delta, norm_pos, time_binding.has_value(),
-                          allow_replan);
+    plan = GetOrBuildPlan(full, delta, norm_pos, time_binding.has_value());
 
     // Immutable per-step facts, gathered once outside the hot loop.
     struct StepInfo {
       const Atom* atom;
       std::size_t pos;
       bool is_delta;
-      bool sharded;
       int probe_col;
     };
     std::vector<StepInfo> steps;
     steps.reserve(nsteps);
     for (const JoinPlan::Step& s : plan->steps) {
       const bool is_delta = static_cast<int>(s.pos) == norm_pos;
-      steps.push_back({&rule_.body[s.pos], s.pos, is_delta,
-                       is_delta && delta_num_shards > 1, s.probe_col});
+      steps.push_back({&rule_.body[s.pos], s.pos, is_delta, s.probe_col});
     }
 
     // One frame per join step. A frame enumerates the candidate rows of its
@@ -634,11 +584,6 @@ void RuleEvaluator::EvaluateImpl(
       }
     };
 
-    // Round-robin counter over the delta atom's candidate tuples; shared
-    // across timeline cells so the assignment is a deterministic function
-    // of the enumeration order alone.
-    uint64_t shard_counter = 0;
-
     // Iterative backtracking join. Loop invariant: at the top, frame `k`'s
     // previous candidate (if any) is unwound — a fresh frame's mark equals
     // the trail size, making the unwind a no-op.
@@ -654,10 +599,6 @@ void RuleEvaluator::EvaluateImpl(
       if (!next_candidate(&f, si, &row, &rel)) {
         if (f.tvar != kNoVar) bindings.bound[f.tvar] = 0;
         --k;
-        continue;
-      }
-      if (si.sharded &&
-          (shard_counter++ % delta_num_shards) != delta_shard) {
         continue;
       }
       ++local_steps;
@@ -678,8 +619,8 @@ void RuleEvaluator::EvaluateImpl(
 
   if (stats != nullptr) stats->match_steps += local_steps;
   if (plan != nullptr) {
-    plan->observed_steps.fetch_add(local_steps, std::memory_order_relaxed);
-    plan->observed_emits.fetch_add(local_emits, std::memory_order_relaxed);
+    plan->observed_steps += local_steps;
+    plan->observed_emits += local_emits;
   }
   if (plans_->actual_hist != nullptr) {
     plans_->actual_hist->RecordValue(local_steps /

@@ -49,12 +49,11 @@ using RulePlanReport = std::vector<std::vector<PlanSlotReport>>;
 /// work measure used by the benchmark harness).
 ///
 /// The `*_ms` fields are per-phase wall-clock timers maintained by the
-/// fixpoint drivers: `derive_ms` covers rule evaluation (all workers),
-/// `merge_ms` covers folding per-task buffers / the round delta into the
-/// full model, `extract_ms` covers per-time state extraction during period
-/// detection. `min_new_time` is the smallest time point that gained a
-/// temporal fact (INT64_MAX when none did) — the staleness bound consumed by
-/// the incremental horizon-extension loop.
+/// fixpoint drivers: `derive_ms` covers rule evaluation, `merge_ms` covers
+/// folding the round delta into the full model, `extract_ms` covers per-time
+/// state extraction during period detection. `min_new_time` is the smallest
+/// time point that gained a temporal fact (INT64_MAX when none did) — the
+/// staleness bound consumed by the incremental horizon-extension loop.
 struct EvalStats {
   uint64_t derived = 0;
   uint64_t inserted = 0;
@@ -90,10 +89,9 @@ struct EvalStats {
 /// plus sampled bound-column fan-outs) the first time a (delta position,
 /// time-bound) configuration is evaluated, and caches the resulting plan.
 /// When the observed match-steps-per-emission of a cached plan drifts far
-/// above its estimate, the plan is rebuilt against current statistics
-/// (sequential evaluation only — see EnsurePlan). Plans only fix the atom
-/// order and a suggested probe column; correctness never depends on the
-/// estimates.
+/// above its estimate, the plan is rebuilt against current statistics and
+/// replaces the cached one. Plans only fix the atom order and a suggested
+/// probe column; correctness never depends on the estimates.
 class RuleEvaluator {
  public:
   /// `rule` and `vocab` must outlive the evaluator. With `use_index` the
@@ -114,19 +112,11 @@ class RuleEvaluator {
   /// atoms against `full`). When `time_binding` is set, the temporal
   /// variable `time_binding->first` is pre-bound to `time_binding->second`.
   /// Emitted ground atoms may repeat; the caller deduplicates on insert.
-  ///
-  /// `delta_shard` / `delta_num_shards` split the enumeration of candidate
-  /// tuples for the delta-matched atom round-robin across shards: shard `s`
-  /// only descends into candidates `i` with `i % delta_num_shards == s`.
-  /// The union of all shards' emissions equals the unsharded emission set,
-  /// and the assignment is deterministic — the parallel evaluator uses this
-  /// to split one (rule, delta-position) task across workers.
   void Evaluate(
       const Interpretation& full, const Interpretation* delta, int delta_pos,
       std::optional<std::pair<VarId, int64_t>> time_binding,
       EvalStats* stats,
-      const std::function<void(GroundAtom&&)>& emit,
-      uint32_t delta_shard = 0, uint32_t delta_num_shards = 1) const;
+      const std::function<void(GroundAtom&&)>& emit) const;
 
   /// Like Evaluate, but also hands the instantiated ground body atoms (in
   /// source order) to the callback — the premises of the hyperresolution
@@ -138,15 +128,6 @@ class RuleEvaluator {
       const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>&
           emit) const;
 
-  /// Builds (if absent) the join plan for the (delta_pos, time_bound)
-  /// configuration against current statistics. The parallel fixpoint calls
-  /// this sequentially for every task before fanning out, so that (a) all
-  /// shards of one task run the same plan and (b) no worker ever builds a
-  /// plan — plan construction samples column statistics, which mutates
-  /// per-relation caches and must stay single-threaded.
-  void EnsurePlan(const Interpretation& full, const Interpretation* delta,
-                  int delta_pos, bool time_bound) const;
-
   /// Body-atom order (source positions) of the cached plan for the given
   /// configuration; empty when no plan has been built yet. Test-only
   /// introspection for determinism and planner-behaviour checks.
@@ -156,8 +137,7 @@ class RuleEvaluator {
   /// Appends one PlanSlotReport per built plan slot to `out` (built slots
   /// only; an evaluator that never ran appends nothing). Snapshots the
   /// *current* plan of each slot — the one the next evaluation would run —
-  /// with its cumulative observation counters. Safe to call while
-  /// evaluations are in flight (acquire loads, relaxed counter reads).
+  /// with its cumulative observation counters.
   void ExportPlans(std::vector<PlanSlotReport>* out) const;
 
   /// Installs a static join-order prior: the *first* plan built for each
@@ -168,7 +148,7 @@ class RuleEvaluator {
   /// self-corrects. `order` must outlive the evaluator; an order whose size
   /// does not match the body, or that is not a permutation, is ignored.
   /// Plans never affect results, only cost. Must be called before the first
-  /// evaluation (no synchronisation with concurrent plan builds).
+  /// evaluation.
   void SetStaticOrderPrior(const std::vector<uint32_t>* order);
 
  private:
@@ -180,8 +160,7 @@ class RuleEvaluator {
       std::optional<std::pair<VarId, int64_t>> time_binding,
       EvalStats* stats, const std::function<void(GroundAtom&&)>* emit,
       const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>*
-          emit_with_body,
-      uint32_t delta_shard, uint32_t delta_num_shards) const;
+          emit_with_body) const;
 
   std::unique_ptr<JoinPlan> BuildPlan(const Interpretation& full,
                                       const Interpretation* delta,
@@ -189,7 +168,7 @@ class RuleEvaluator {
                                       bool use_prior) const;
   JoinPlan* GetOrBuildPlan(const Interpretation& full,
                            const Interpretation* delta, int delta_pos,
-                           bool time_bound, bool allow_replan) const;
+                           bool time_bound) const;
   std::size_t SlotKey(int delta_pos, bool time_bound) const;
 
   const Rule& rule_;

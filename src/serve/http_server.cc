@@ -17,7 +17,6 @@
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace chronolog {
 
@@ -261,14 +260,9 @@ Status HttpServer::Start() {
   }
 
   running_.store(true, std::memory_order_release);
-  // The pool runs one accept loop per worker index; ParallelFor's barrier
-  // only releases once every loop has observed shutdown_, so joining the
-  // serve thread is all Stop() needs to wait for.
-  pool_ = std::make_unique<ThreadPool>(options_.num_workers);
-  serve_thread_ = std::thread([this] {
-    pool_->ParallelFor(static_cast<std::size_t>(options_.num_workers),
-                       [this](std::size_t) { AcceptLoop(); });
-  });
+  for (int i = 0; i < options_.num_workers; ++i) {
+    workers_.emplace_back([this] { AcceptLoop(); });
+  }
   LogInfo("serve.start")
       .Str("bind", options_.bind_address)
       .Int("port", port_)
@@ -279,8 +273,8 @@ Status HttpServer::Start() {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   shutdown_.store(true, std::memory_order_release);
-  if (serve_thread_.joinable()) serve_thread_.join();
-  pool_.reset();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

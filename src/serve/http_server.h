@@ -5,16 +5,15 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/status.h"
 
 namespace chronolog {
 
 class MetricsRegistry;
-class ThreadPool;
 
 /// chronolog_serve — a minimal blocking HTTP/1.1 server for the
 /// observability endpoints (`/metrics`, `/healthz`, `/trace`) and the query
@@ -36,10 +35,10 @@ class ThreadPool;
 /// only the routing failed, and any declared request body is drained before
 /// the next request is read.
 ///
-/// Concurrency model: `Start()` binds and listens, then hands a bounded
-/// worker pool (`src/util/thread_pool.*`) one long-running accept loop per
-/// worker — `accept(2)` on a shared listening socket is thread-safe, so the
-/// workers form a classic pre-threaded server. Each worker polls the
+/// Concurrency model: `Start()` binds and listens, then starts
+/// `num_workers` threads, each running one long-running accept loop —
+/// `accept(2)` on a shared listening socket is thread-safe, so the workers
+/// form a classic pre-threaded server. Each worker polls the
 /// listening fd with a short timeout between accepts, and idle keep-alive
 /// waits poll in the same short slices, which is what lets `Stop()`
 /// terminate the loops (and shed idle connections) without relying on
@@ -126,7 +125,7 @@ class HttpServer {
   /// body (up to `max_body_bytes`) is read before the handler runs.
   void HandlePost(std::string path, HttpHandler handler);
 
-  /// Binds, listens and spawns the worker pool. Fails with
+  /// Binds, listens and spawns the worker threads. Fails with
   /// kUnavailable when the socket cannot be bound.
   Status Start();
 
@@ -177,8 +176,7 @@ class HttpServer {
   std::atomic<bool> running_{false};
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> requests_served_{0};
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread serve_thread_;
+  std::vector<std::thread> workers_;  // one AcceptLoop each
 };
 
 }  // namespace chronolog

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -58,24 +59,24 @@ uint64_t StatementStats::TotalCalls() const {
 
 std::string StatementStats::ToJson() const {
   // Snapshot the live entry pointers shard by shard; entries are stable, so
-  // the render below runs without any lock held.
-  std::vector<const Entry*> entries;
+  // the render below runs without any lock held. The sort key is
+  // snapshotted too: writers keep recording, and a key that changes
+  // mid-sort breaks std::sort's ordering contract (out-of-range reads).
+  std::vector<std::pair<uint64_t, const Entry*>> entries;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [key, entry] : shard.live) {
-      entries.push_back(entry.get());
+      entries.emplace_back(entry->eval_ns.sum(), entry.get());
     }
   }
   std::sort(entries.begin(), entries.end(),
-            [](const Entry* a, const Entry* b) {
-              const uint64_t sa = a->eval_ns.sum();
-              const uint64_t sb = b->eval_ns.sum();
-              if (sa != sb) return sa > sb;
-              return a->shape < b->shape;
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second->shape < b.second->shape;
             });
   std::string out = "{\"statements\":[";
   bool first = true;
-  for (const Entry* e : entries) {
+  for (const auto& [eval_sum, e] : entries) {
     if (!first) out += ",";
     first = false;
     out += "{\"shape\":\"" + JsonEscape(e->shape) + "\"";

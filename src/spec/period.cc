@@ -9,26 +9,6 @@
 
 namespace chronolog {
 
-bool FindMinimalPeriodInWindow(const std::vector<State>& states,
-                               int64_t min_cycles, int64_t* k_out,
-                               int64_t* p_out) {
-  const int64_t n = static_cast<int64_t>(states.size());
-  for (int64_t p = 1; p <= n / (min_cycles + 1); ++p) {
-    // Smallest k with states[t] == states[t+p] for all t in [k, n-1-p]:
-    // scan down from the end until the first mismatch.
-    int64_t k = n - p;
-    while (k > 0 && states[k - 1] == states[k - 1 + p]) --k;
-    if (k == n - p) continue;  // no trailing agreement at all
-    // Evidence: the agreeing suffix must span at least min_cycles cycles.
-    if (n - k >= (min_cycles + 1) * p) {
-      *k_out = k;
-      *p_out = p;
-      return true;
-    }
-  }
-  return false;
-}
-
 void PeriodCandidateTracker::Update(const Interpretation& model,
                                     int64_t horizon, int64_t changed_from) {
   const int64_t n_old = static_cast<int64_t>(hashes_.size());
@@ -157,7 +137,6 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
     FixpointOptions fp;
     fp.max_time = m;
     fp.max_facts = options.max_facts;
-    fp.num_threads = options.num_threads;
     fp.metrics = options.metrics;
     fp.trace = options.trace;
     fp.plan_priors = options.plan_priors;

@@ -24,9 +24,6 @@ struct PeriodDetectionOptions {
   /// When false, non-progressive programs fail with kFailedPrecondition.
   bool allow_general = true;
   uint64_t max_facts = 50'000'000;
-  /// Worker threads for the underlying semi-naive fixpoints
-  /// (FixpointOptions::num_threads); 1 = sequential.
-  int num_threads = DefaultFixpointThreads();
   /// Observability sinks (chronolog_obs), forwarded to the underlying
   /// fixpoints / forward simulation; null disables collection.
   MetricsRegistry* metrics = nullptr;
@@ -72,18 +69,9 @@ Result<PeriodDetection> DetectPeriod(
     const Program& program, const Database& db,
     const PeriodDetectionOptions& options = {});
 
-/// Returns the minimal `(k, p)` (absolute start `k`, not yet normalised by
-/// `c`) such that `states[t] == states[t+p]` for all `t` in
-/// `[k, states.size()-1-p]`, preferring the smallest `p` whose evidence
-/// window spans at least `min_cycles` full cycles. Returns false when no
-/// candidate has enough evidence.
-bool FindMinimalPeriodInWindow(const std::vector<State>& states,
-                               int64_t min_cycles, int64_t* k_out,
-                               int64_t* p_out);
-
-/// Incrementally maintained mirror of FindMinimalPeriodInWindow over the
-/// snapshot-hash vector of a growing (occasionally history-rewritten) model.
-/// The verified-doubling detector keeps one tracker alive across doublings:
+/// Incrementally maintained minimal-period scan over the snapshot-hash vector
+/// of a growing (occasionally history-rewritten) model. The
+/// verified-doubling detector keeps one tracker alive across doublings:
 /// instead of re-extracting every state and re-scanning the full window at
 /// each probe, per-period mismatch frontiers are carried forward and only
 /// the hashes from `changed_from` on are re-read.
@@ -103,9 +91,12 @@ class PeriodCandidateTracker {
   void Update(const Interpretation& model, int64_t horizon,
               int64_t changed_from);
 
-  /// Equivalent of FindMinimalPeriodInWindow(states, min_cycles, ...) on the
-  /// cached hash vector, resuming each period's scan where the previous call
-  /// left off. `min_cycles` must not vary across calls on one tracker.
+  /// Returns the minimal `(k, p)` (absolute start `k`, not yet normalised by
+  /// `c`) such that `hash[t] == hash[t+p]` for all `t` in `[k, n-1-p]`,
+  /// preferring the smallest `p` whose evidence window spans at least
+  /// `min_cycles` full cycles; false when no candidate has enough evidence.
+  /// Resumes each period's scan where the previous call left off.
+  /// `min_cycles` must not vary across calls on one tracker.
   bool Find(int64_t min_cycles, int64_t* k_out, int64_t* p_out);
 
   /// Exact in-place verification that `M[t] = M[t+p]` holds on all

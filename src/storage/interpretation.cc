@@ -1,7 +1,6 @@
 #include "storage/interpretation.h"
 
 #include <cassert>
-#include <mutex>
 
 namespace chronolog {
 
@@ -62,21 +61,6 @@ void Interpretation::IndexInsertedRow(PredicateId pred, bool temporal,
     for (auto& [col, index] : nt_index_[pred]) {
       index.buckets[rel.at(row, col)].push_back(row);
     }
-  }
-}
-
-void Interpretation::SetConcurrentProbes(bool enabled) {
-  if (!enabled) {
-    probe_mu_.reset();
-    return;
-  }
-  // Pre-size the index vectors so probes never resize them concurrently.
-  if (nt_index_.size() < non_temporal_.size()) {
-    nt_index_.resize(non_temporal_.size());
-  }
-  if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
-  if (probe_mu_ == nullptr) {
-    probe_mu_ = std::make_unique<std::shared_mutex>();
   }
 }
 
@@ -171,24 +155,6 @@ const std::vector<uint32_t>* Interpretation::ProbeNonTemporal(
   assert(!vocab_->predicate(pred).is_temporal);
   if (pred >= non_temporal_.size()) return nullptr;
   const Relation& rel = non_temporal_[pred];
-  if (probe_mu_ != nullptr) {
-    // Concurrent mode: optimistic shared-lock lookup, exclusive build.
-    {
-      std::shared_lock<std::shared_mutex> lock(*probe_mu_);
-      auto it = nt_index_[pred].find(col);
-      if (it != nt_index_[pred].end()) {
-        return FindBucket(it->second, rel, value);
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(*probe_mu_);
-    auto [it, fresh] = nt_index_[pred].try_emplace(col);
-    if (fresh) {
-      for (uint32_t row = 0; row < rel.size(); ++row) {
-        it->second.buckets[rel.at(row, col)].push_back(row);
-      }
-    }
-    return FindBucket(it->second, rel, value);
-  }
   if (nt_index_.size() < non_temporal_.size()) {
     nt_index_.resize(non_temporal_.size());
   }
@@ -209,26 +175,6 @@ const std::vector<uint32_t>* Interpretation::ProbeSnapshot(
   auto cell = temporal_[pred].find(time);
   if (cell == temporal_[pred].end()) return nullptr;
   const Relation& rel = cell->second;
-  if (probe_mu_ != nullptr) {
-    {
-      std::shared_lock<std::shared_mutex> lock(*probe_mu_);
-      auto snapshot = t_index_[pred].find(time);
-      if (snapshot != t_index_[pred].end()) {
-        auto it = snapshot->second.find(col);
-        if (it != snapshot->second.end()) {
-          return FindBucket(it->second, rel, value);
-        }
-      }
-    }
-    std::unique_lock<std::shared_mutex> lock(*probe_mu_);
-    auto [it, fresh] = t_index_[pred][time].try_emplace(col);
-    if (fresh) {
-      for (uint32_t row = 0; row < rel.size(); ++row) {
-        it->second.buckets[rel.at(row, col)].push_back(row);
-      }
-    }
-    return FindBucket(it->second, rel, value);
-  }
   if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
   auto [it, fresh] = t_index_[pred][time].try_emplace(col);
   ColumnBuckets& index = it->second;

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -95,7 +94,7 @@ class Interpretation {
   bool SnapshotEquals(int64_t t1, int64_t t2) const;
 
   /// Turns off snapshot-hash maintenance for this instance. For scratch
-  /// interpretations (semi-naive deltas, per-task derivation buffers) that
+  /// interpretations (semi-naive deltas and derivation buffers) that
   /// are only enumerated and merged, never queried through SnapshotHash:
   /// skipping the per-insert hash update keeps the hot derivation path free
   /// of the bookkeeping. Irreversible; copies inherit the setting;
@@ -131,7 +130,8 @@ class Interpretation {
   /// relation `NonTemporal(pred)` / `Snapshot(pred, time)`) of the tuples
   /// whose column `col` equals `value`, or nullptr when there are none. The
   /// index for a (pred, [time,] col) combination is built lazily on first
-  /// probe and maintained by subsequent inserts.
+  /// probe and maintained by subsequent inserts, so a probe, like an insert,
+  /// needs exclusive access.
   ///
   /// Invalidation contract: row ids are positional, so — unlike the tuple
   /// pointers this API used to return — they survive further inserts and
@@ -144,22 +144,6 @@ class Interpretation {
   const std::vector<uint32_t>* ProbeSnapshot(PredicateId pred, int64_t time,
                                              uint32_t col,
                                              SymbolId value) const;
-
-  /// Concurrent-probe mode: while enabled, lazy index construction inside
-  /// ProbeNonTemporal / ProbeSnapshot is guarded by a reader-writer lock so
-  /// that multiple threads may probe this interpretation simultaneously
-  /// (the parallel semi-naive evaluator probes `full` and `delta` from every
-  /// worker). Inserts remain single-threaded: callers must still serialise
-  /// Insert/Truncate against probes. Disabled (no locking, identical to the
-  /// historical behaviour) by default.
-  void SetConcurrentProbes(bool enabled);
-
-  /// True while concurrent-probe mode is on. The join planner uses this as
-  /// a "parallel phase in progress" signal: re-planning swaps the cached
-  /// JoinPlan in place, which is only safe while evaluation is
-  /// single-threaded. (Sampling column statistics is not the issue —
-  /// Relation::DistinctInColumn synchronises internally.)
-  bool concurrent_probes() const { return probe_mu_ != nullptr; }
 
  private:
   /// value -> row-id bucket map of one indexed column.
@@ -194,8 +178,6 @@ class Interpretation {
   mutable std::vector<std::map<uint32_t, ColumnBuckets>> nt_index_;
   mutable std::vector<std::map<int64_t, std::map<uint32_t, ColumnBuckets>>>
       t_index_;
-  // Non-null while concurrent-probe mode is on (see SetConcurrentProbes).
-  mutable std::unique_ptr<std::shared_mutex> probe_mu_;
 
   void EnsurePred(PredicateId pred);
   void IndexInsertedRow(PredicateId pred, bool temporal, int64_t time,

@@ -33,60 +33,6 @@ inline uint8_t TagOf(std::size_t hash) {
 
 }  // namespace
 
-Relation::Relation(const Relation& other)
-    : cols_(other.cols_),
-      num_rows_(other.num_rows_),
-      arity_(other.arity_),
-      arity_set_(other.arity_set_),
-      ctrl_(other.ctrl_),
-      slots_(other.slots_),
-      cap_(other.cap_) {
-  std::lock_guard<std::mutex> lock(other.distinct_mutex_);
-  distinct_cache_ = other.distinct_cache_;
-}
-
-Relation& Relation::operator=(const Relation& other) {
-  if (this == &other) return *this;
-  cols_ = other.cols_;
-  num_rows_ = other.num_rows_;
-  arity_ = other.arity_;
-  arity_set_ = other.arity_set_;
-  ctrl_ = other.ctrl_;
-  slots_ = other.slots_;
-  cap_ = other.cap_;
-  std::lock_guard<std::mutex> lock(other.distinct_mutex_);
-  distinct_cache_ = other.distinct_cache_;
-  return *this;
-}
-
-Relation::Relation(Relation&& other) noexcept
-    : cols_(std::move(other.cols_)),
-      num_rows_(other.num_rows_),
-      arity_(other.arity_),
-      arity_set_(other.arity_set_),
-      ctrl_(std::move(other.ctrl_)),
-      slots_(std::move(other.slots_)),
-      cap_(other.cap_),
-      distinct_cache_(std::move(other.distinct_cache_)) {
-  other.num_rows_ = 0;
-  other.cap_ = 0;
-}
-
-Relation& Relation::operator=(Relation&& other) noexcept {
-  if (this == &other) return *this;
-  cols_ = std::move(other.cols_);
-  num_rows_ = other.num_rows_;
-  arity_ = other.arity_;
-  arity_set_ = other.arity_set_;
-  ctrl_ = std::move(other.ctrl_);
-  slots_ = std::move(other.slots_);
-  cap_ = other.cap_;
-  distinct_cache_ = std::move(other.distinct_cache_);
-  other.num_rows_ = 0;
-  other.cap_ = 0;
-  return *this;
-}
-
 void Relation::SetCtrl(std::size_t slot, uint8_t byte) {
   ctrl_[slot] = byte;
   if (slot < kGroup - 1) ctrl_[cap_ + slot] = byte;  // mirrored tail
@@ -214,12 +160,6 @@ bool operator==(const Relation& a, const Relation& b) {
 
 std::size_t Relation::DistinctInColumn(std::size_t col) const {
   if (num_rows_ == 0 || col >= arity_) return 1;
-  // The cache resize and refresh below are writes from a const method, so
-  // concurrent planners must serialise here (they used to race: TSan caught
-  // two workers resizing `distinct_cache_` under the parallel evaluator).
-  // Sampling runs under the lock too — redundant refreshes would be wasted
-  // work, and the sample is bounded (~1k rows) so the hold time is short.
-  std::lock_guard<std::mutex> lock(distinct_mutex_);
   if (distinct_cache_.size() < arity_) distinct_cache_.resize(arity_, {0, 0});
   auto& [rows_at, estimate] = distinct_cache_[col];
   if (rows_at != 0 && num_rows_ <= 2 * static_cast<std::size_t>(rows_at)) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -30,23 +29,12 @@ namespace chronolog {
 /// whole Relations). The arity is fixed by the first insert; a
 /// default-constructed relation accepts any arity once.
 ///
-/// Thread-safety: concurrent readers are safe; any write requires exclusive
-/// access. `DistinctInColumn` refreshes an internal statistics cache behind
-/// its own mutex, so it is safe to call concurrently with itself and with
-/// other readers — but, like every reader, not concurrently with `Insert`.
+/// Thread-safety: concurrent const access is safe except `DistinctInColumn`,
+/// which refreshes an internal statistics cache; it, like any write, needs
+/// exclusive access.
 class Relation {
  public:
   Relation() = default;
-
-  // The statistics mutex is neither copyable nor movable, so spell out the
-  // value semantics: copies take the source's statistics lock (another
-  // thread may be mid-refresh in `DistinctInColumn`); moves don't — moving
-  // from an object while another thread uses it is already a race at the
-  // caller's level, and locking here would cost `noexcept`.
-  Relation(const Relation& other);
-  Relation& operator=(const Relation& other);
-  Relation(Relation&& other) noexcept;
-  Relation& operator=(Relation&& other) noexcept;
 
   std::size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
@@ -83,8 +71,7 @@ class Relation {
   /// Estimated number of distinct values in column `col` (>= 1 when the
   /// relation is non-empty). Sampled over at most ~1k rows and cached; the
   /// cache refreshes once the relation doubles. Feeds the join planner's
-  /// bound-column fan-out estimates. Safe to call from concurrent readers
-  /// (the cache is guarded by its own mutex); see the note above.
+  /// bound-column fan-out estimates.
   std::size_t DistinctInColumn(std::size_t col) const;
 
  private:
@@ -120,11 +107,7 @@ class Relation {
   std::vector<uint32_t> slots_;
   std::size_t cap_ = 0;
 
-  // Per-column distinct-count cache: (rows when sampled, estimate), guarded
-  // by `distinct_mutex_` so concurrent `DistinctInColumn` calls (the
-  // parallel evaluator's per-worker join planning) never race on the lazy
-  // resize/refresh.
-  mutable std::mutex distinct_mutex_;
+  // Per-column distinct-count cache: (rows when sampled, estimate).
   mutable std::vector<std::pair<uint32_t, uint32_t>> distinct_cache_;
 };
 

@@ -104,34 +104,11 @@ TEST(ColumnarEquivTest, RandomTimeOnlySweep) {
   }
 }
 
-TEST(ColumnarEquivTest, ParallelSemiNaiveMatchesSequential) {
-  // The planner pre-pass runs before workers fan out; all thread counts must
-  // produce the identical model and stats (merge is task-ordered).
+TEST(ColumnarEquivTest, PathOnDenserRandomGraph) {
   std::mt19937 rng(11);
-  ParsedUnit unit = MustParse(workload::PathProgramSource() +
-                              workload::RandomGraphFactsSource(8, 20, &rng));
-  FixpointOptions seq;
-  seq.max_time = 8;
-  seq.num_threads = 1;
-  FixpointOptions par = seq;
-  par.num_threads = 4;
-
-  EvalStats seq_stats;
-  auto sequential =
-      SemiNaiveFixpoint(unit.program, unit.database, seq, &seq_stats);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EvalStats par_stats;
-  auto parallel =
-      SemiNaiveFixpoint(unit.program, unit.database, par, &par_stats);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-
-  EXPECT_TRUE(*sequential == *parallel);
-  EXPECT_EQ(seq_stats.inserted, par_stats.inserted);
-  EXPECT_EQ(seq_stats.min_new_time, par_stats.min_new_time);
-  for (int64_t t = 0; t <= 8; ++t) {
-    EXPECT_EQ(sequential->SnapshotHash(t), parallel->SnapshotHash(t));
-    EXPECT_EQ(sequential->SnapshotHash2(t), parallel->SnapshotHash2(t));
-  }
+  ExpectNaiveSemiNaiveAgree(workload::PathProgramSource() +
+                                workload::RandomGraphFactsSource(8, 20, &rng),
+                            8);
 }
 
 }  // namespace

@@ -321,7 +321,8 @@ TEST(FlowPriorTest, FirstPlanFollowsTheInstalledPrior) {
   const std::vector<uint32_t> prior = {2, 1, 0};
   RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
   ev.SetStaticOrderPrior(&prior);
-  ev.EnsurePlan(full, &delta, /*delta_pos=*/0, /*time_bound=*/false);
+  ev.Evaluate(full, &delta, /*delta_pos=*/0, std::nullopt, nullptr,
+              [](GroundAtom&&) {});
   EXPECT_EQ(ev.PlanOrderForTest(0, false), prior);
 }
 
@@ -336,7 +337,8 @@ TEST(FlowPriorTest, InvalidPriorsAreIgnored) {
   for (const std::vector<uint32_t>* bad : {&wrong_size, &not_permutation}) {
     RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
     ev.SetStaticOrderPrior(bad);
-    ev.EnsurePlan(full, &delta, /*delta_pos=*/0, /*time_bound=*/false);
+    ev.Evaluate(full, &delta, /*delta_pos=*/0, std::nullopt, nullptr,
+                [](GroundAtom&&) {});
     // Greedy planning on the skewed workload: delta, then the one-row
     // narrow relation, then the fan-out (join_plan_test.cc).
     EXPECT_EQ(ev.PlanOrderForTest(0, false),

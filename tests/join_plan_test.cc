@@ -1,13 +1,15 @@
 // Join-planner tests: deterministic plan orders, selectivity-driven atom
-// ordering on the skewed workload, drift-triggered re-planning, sharded
-// enumeration under a shared plan, and the `join.*` metrics family.
+// ordering on the skewed workload, drift-triggered re-planning, and the
+// `join.*` metrics family.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ast/parser.h"
@@ -38,6 +40,17 @@ void LoadSkewed(const ParsedUnit& unit, Interpretation* full,
   }
 }
 
+// Builds the evaluator's plan for one (delta_pos, time_bound) configuration
+// by evaluating it once into a no-op sink.
+void BuildPlan(const RuleEvaluator& ev, const Rule& rule,
+               const Interpretation& full, const Interpretation* delta,
+               int delta_pos, bool time_bound) {
+  std::optional<std::pair<VarId, int64_t>> binding;
+  if (time_bound) binding = std::make_pair(rule.head.time->var, int64_t{0});
+  ev.Evaluate(full, delta, delta_pos, binding, /*stats=*/nullptr,
+              [](GroundAtom&&) {});
+}
+
 // SkewedJoinSource rule: hit(T+1,X) :- hit(T,X)[0], wide(X,Y)[1], narrow(Y)[2].
 // With `wide` fan-out 64 and a single `narrow` row, the planner must place
 // narrow before wide: probing narrow first keeps the frontier at one binding
@@ -51,7 +64,8 @@ TEST(JoinPlanTest, SkewedWorkloadOrdersNarrowBeforeWide) {
 
   RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
   EXPECT_TRUE(ev.PlanOrderForTest(0, false).empty());  // nothing cached yet
-  ev.EnsurePlan(full, &delta, /*delta_pos=*/0, /*time_bound=*/false);
+  BuildPlan(ev, unit.program.rules()[0], full, &delta, /*delta_pos=*/0,
+            /*time_bound=*/false);
   const std::vector<uint32_t> order = ev.PlanOrderForTest(0, false);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 0u);  // the one-row delta atom leads
@@ -61,8 +75,7 @@ TEST(JoinPlanTest, SkewedWorkloadOrdersNarrowBeforeWide) {
 
 TEST(JoinPlanTest, PlanOrderIsDeterministic) {
   // Two independently parsed and loaded copies of the same workload must
-  // plan identically, for every (delta_pos, time_bound) configuration —
-  // the property that makes the parallel pre-pass sound.
+  // plan identically, for every (delta_pos, time_bound) configuration.
   std::vector<std::vector<uint32_t>> runs[2];
   for (int run = 0; run < 2; ++run) {
     ParsedUnit unit = MustParse(workload::SkewedJoinSource(32));
@@ -73,43 +86,14 @@ TEST(JoinPlanTest, PlanOrderIsDeterministic) {
     for (int delta_pos = -1; delta_pos < 3; ++delta_pos) {
       const Interpretation* d = delta_pos < 0 ? nullptr : &delta;
       for (bool time_bound : {false, true}) {
-        ev.EnsurePlan(full, d, delta_pos, time_bound);
+        BuildPlan(ev, unit.program.rules()[0], full, d, delta_pos,
+                  time_bound);
         runs[run].push_back(ev.PlanOrderForTest(delta_pos, time_bound));
         EXPECT_FALSE(runs[run].back().empty());
       }
     }
   }
   EXPECT_EQ(runs[0], runs[1]);
-}
-
-TEST(JoinPlanTest, ShardedEnumerationMatchesUnsharded) {
-  // All shards of one task share the cached plan; the union of sharded
-  // emissions must equal the unsharded emission set (the parallel
-  // evaluator's correctness contract).
-  ParsedUnit unit = MustParse(workload::SkewedJoinSource(16));
-  Interpretation full(unit.program.vocab_ptr());
-  Interpretation delta(unit.program.vocab_ptr());
-  LoadSkewed(unit, &full, &delta);
-  RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
-  ev.EnsurePlan(full, &delta, 0, false);
-
-  using Fact = std::tuple<PredicateId, int64_t, Tuple>;
-  std::set<Fact> unsharded;
-  EvalStats stats;
-  ev.Evaluate(full, &delta, 0, std::nullopt, &stats,
-              [&](GroundAtom&& g) {
-                unsharded.insert({g.pred, g.time, g.args});
-              });
-  std::set<Fact> sharded;
-  for (uint32_t shard = 0; shard < 4; ++shard) {
-    ev.Evaluate(full, &delta, 0, std::nullopt, &stats,
-                [&](GroundAtom&& g) {
-                  sharded.insert({g.pred, g.time, g.args});
-                },
-                shard, 4);
-  }
-  EXPECT_FALSE(unsharded.empty());
-  EXPECT_EQ(unsharded, sharded);
 }
 
 TEST(JoinPlanTest, ReplanTriggersOnObservedDrift) {
@@ -125,9 +109,13 @@ TEST(JoinPlanTest, ReplanTriggersOnObservedDrift) {
   Interpretation full(unit.program.vocab_ptr());
   full.InsertDatabase(unit.database);
 
+  using Fact = std::tuple<PredicateId, int64_t, Tuple>;
+  std::set<Fact> before;
   EvalStats stats;
   auto sink = [](GroundAtom&&) {};
-  ev.Evaluate(full, nullptr, -1, std::nullopt, &stats, sink);
+  ev.Evaluate(full, nullptr, -1, std::nullopt, &stats, [&](GroundAtom&& g) {
+    before.insert({g.pred, g.time, g.args});
+  });
   EXPECT_EQ(metrics.counter("join.plans")->value(), 1u);
   EXPECT_EQ(metrics.counter("join.replans")->value(), 0u);
 
@@ -147,6 +135,22 @@ TEST(JoinPlanTest, ReplanTriggersOnObservedDrift) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1u);  // s (one row) now leads
   EXPECT_EQ(order[1], 0u);
+
+  // The re-plan replaced the slot's plan: one entry, the new order.
+  std::vector<PlanSlotReport> report;
+  ev.ExportPlans(&report);
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].delta_pos, -1);
+  EXPECT_FALSE(report[0].time_bound);
+  EXPECT_EQ(report[0].order, order);
+
+  // The drift rows never join, so the re-planned rule emits the same set.
+  std::set<Fact> after;
+  ev.Evaluate(full, nullptr, -1, std::nullopt, &stats, [&](GroundAtom&& g) {
+    after.insert({g.pred, g.time, g.args});
+  });
+  EXPECT_FALSE(before.empty());
+  EXPECT_EQ(before, after);
 }
 
 TEST(JoinPlanTest, PlannerAvoidsWideScanOnSkewedWorkload) {
@@ -179,8 +183,9 @@ TEST(JoinPlanTest, ExportPlansReportsBuiltSlots) {
   ev.ExportPlans(&report);
   EXPECT_TRUE(report.empty());  // nothing planned yet
 
-  ev.EnsurePlan(full, &delta, /*delta_pos=*/0, /*time_bound=*/false);
-  ev.EnsurePlan(full, nullptr, /*delta_pos=*/-1, /*time_bound=*/true);
+  const Rule& rule = unit.program.rules()[0];
+  BuildPlan(ev, rule, full, &delta, /*delta_pos=*/0, /*time_bound=*/false);
+  BuildPlan(ev, rule, full, nullptr, /*delta_pos=*/-1, /*time_bound=*/true);
   ev.ExportPlans(&report);
   ASSERT_EQ(report.size(), 2u);
   // The report round-trips each slot's configuration and its chosen order.

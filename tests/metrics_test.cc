@@ -234,7 +234,7 @@ TEST(EngineMetricsTest, CollectMetricsPopulatesDoublingInstruments) {
 TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
   MetricsRegistry registry;
   registry.counter("query.asks")->Add(3);
-  Gauge* g = registry.gauge("fixpoint.parallel.imbalance");
+  Gauge* g = registry.gauge("test.load_ratio");
   g->Set(2.0);
   g->Set(4.0);
   Histogram* h = registry.histogram("query.latency_ns");
@@ -249,14 +249,14 @@ TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
   EXPECT_NE(text.find("# TYPE query_asks counter\n"), std::string::npos);
   EXPECT_NE(text.find("query_asks 3\n"), std::string::npos);
 
-  EXPECT_NE(text.find("# TYPE fixpoint_parallel_imbalance gauge\n"),
+  EXPECT_NE(text.find("# TYPE test_load_ratio gauge\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance 4\n"), std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_min 2\n"),
+  EXPECT_NE(text.find("test_load_ratio 4\n"), std::string::npos);
+  EXPECT_NE(text.find("test_load_ratio_min 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_max 4\n"),
+  EXPECT_NE(text.find("test_load_ratio_max 4\n"),
             std::string::npos);
-  EXPECT_NE(text.find("fixpoint_parallel_imbalance_mean 3\n"),
+  EXPECT_NE(text.find("test_load_ratio_mean 3\n"),
             std::string::npos);
 
   EXPECT_NE(text.find("# TYPE query_latency_ns histogram\n"),

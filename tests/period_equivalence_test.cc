@@ -19,6 +19,7 @@
 #include "eval/fixpoint.h"
 #include "spec/period.h"
 #include "workload/generators.h"
+#include "period_reference.h"
 
 namespace chronolog {
 namespace {

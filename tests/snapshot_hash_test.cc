@@ -3,9 +3,8 @@
 // state hashes State::FromInterpretation(m, t).Hash() / .Hash2()
 // after every way a model can be produced or mutated: one-shot fixpoints,
 // resumed extension chains (including the backward-rule history-rewrite path
-// reported through EvalStats::min_new_time), parallel rounds for every thread
-// count, truncation, and copies. The combine is order-independent by
-// construction; that too is pinned down here.
+// reported through EvalStats::min_new_time), truncation, and copies. The
+// combine is order-independent by construction; that too is pinned down here.
 
 #include <gtest/gtest.h>
 
@@ -144,22 +143,6 @@ TEST(SnapshotHashTest, HistoryRewriteMaintainsHashes) {
   ASSERT_TRUE(extended.ok()) << extended.status();
   ASSERT_EQ(stats.min_new_time, 0);
   ExpectHashesMatchFromScratch(*extended, 120);
-}
-
-TEST(SnapshotHashTest, ParallelRoundsMaintainHashes) {
-  for (const Workload& w : FixedWorkloads()) {
-    SCOPED_TRACE(w.name);
-    ParsedUnit unit = MustParse(w.source);
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      FixpointOptions fp;
-      fp.max_time = 48;
-      fp.num_threads = threads;
-      auto model = SemiNaiveFixpoint(unit.program, unit.database, fp);
-      ASSERT_TRUE(model.ok()) << model.status();
-      ExpectHashesMatchFromScratch(*model, 48);
-    }
-  }
 }
 
 TEST(SnapshotHashTest, TruncationPrunesHashes) {

@@ -6,6 +6,7 @@
 #include "spec/period.h"
 #include "spec/specification.h"
 #include "workload/generators.h"
+#include "period_reference.h"
 
 namespace chronolog {
 namespace {

@@ -19,7 +19,6 @@
 //   --query=Q         run first-order query Q once at startup against the
 //                     default database (repeatable) so the query.*
 //                     instrument family is populated before the first scrape
-//   --threads=N       engine worker threads (EngineOptions::num_threads)
 //   --workers=N       HTTP worker threads (default 2)
 //   --idle-timeout-ms=N       close a kept-alive connection idle for N ms
 //                             (default 5000)
@@ -37,6 +36,10 @@
 //                     (throttled: first drop, then each doubling of the total)
 //   --log-level=L     debug|info|warn|error|off (default: $CHRONOLOG_LOG_LEVEL)
 //
+// Integer values must be whole decimal ints (an optional leading '-', no
+// '+', spaces, exponents or trailing bytes); an unknown flag or a malformed
+// or out-of-range value logs `serve.bad_flag` and exits 2.
+//
 // Endpoints (see docs/SERVING.md and docs/OBSERVABILITY.md):
 //   POST /query      JSON query protocol with per-query deadlines/row limits
 //   POST /explain    the plan for a query without executing it
@@ -49,12 +52,13 @@
 // This is the scrape target for the bench/ci.sh serve gate: start with
 // --port=0 --port-file, poll the file, scrape + POST, SIGINT, expect exit 0.
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,10 +78,14 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int /*signum*/) { g_stop = 1; }
 
-bool ParseIntFlag(const std::string& arg, const char* name, int* out) {
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = std::atoi(arg.c_str() + prefix.size());
+/// Parses all of `text` as a decimal int; false on an empty value, a
+/// non-digit, trailing bytes or overflow (`*out` is then untouched).
+bool ParseInt(const std::string& text, int* out) {
+  const char* end = text.data() + text.size();
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
   return true;
 }
 
@@ -85,7 +93,6 @@ bool ParseIntFlag(const std::string& arg, const char* name, int* out) {
 
 int main(int argc, char** argv) {
   int port = 0;
-  int threads = 1;
   int workers = 2;
   int idle_timeout_ms = 5000;
   int max_requests_per_conn = 0;
@@ -98,20 +105,30 @@ int main(int argc, char** argv) {
   std::string program_path;
   std::vector<std::string> queries;
   std::vector<std::pair<std::string, std::string>> extra_dbs;  // name, path
+  const std::pair<const char*, int*> int_flags[] = {
+      {"--port=", &port},
+      {"--workers=", &workers},
+      {"--idle-timeout-ms=", &idle_timeout_ms},
+      {"--max-requests-per-conn=", &max_requests_per_conn},
+      {"--max-inflight=", &max_inflight},
+      {"--deadline-ms=", &deadline_ms},
+      {"--max-rows=", &max_rows},
+      {"--slow-query-ms=", &slow_query_ms},
+      {"--trace-capacity=", &trace_capacity},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (ParseIntFlag(arg, "--port", &port) ||
-        ParseIntFlag(arg, "--threads", &threads) ||
-        ParseIntFlag(arg, "--workers", &workers) ||
-        ParseIntFlag(arg, "--idle-timeout-ms", &idle_timeout_ms) ||
-        ParseIntFlag(arg, "--max-requests-per-conn", &max_requests_per_conn) ||
-        ParseIntFlag(arg, "--max-inflight", &max_inflight) ||
-        ParseIntFlag(arg, "--deadline-ms", &deadline_ms) ||
-        ParseIntFlag(arg, "--max-rows", &max_rows) ||
-        ParseIntFlag(arg, "--slow-query-ms", &slow_query_ms) ||
-        ParseIntFlag(arg, "--trace-capacity", &trace_capacity)) {
-      continue;
+    bool int_flag = false;
+    for (const auto& [prefix, value] : int_flags) {
+      if (arg.rfind(prefix, 0) != 0) continue;
+      if (!ParseInt(arg.substr(std::string_view(prefix).size()), value)) {
+        chronolog::LogError("serve.bad_flag").Str("flag", arg);
+        return 2;
+      }
+      int_flag = true;
+      break;
     }
+    if (int_flag) continue;
     if (arg.rfind("--port-file=", 0) == 0) {
       port_file = arg.substr(12);
       continue;
@@ -152,7 +169,6 @@ int main(int argc, char** argv) {
 
   chronolog::EngineOptions options;
   options.collect_metrics = true;
-  options.num_threads = threads;
   if (trace_capacity > 0) {
     options.trace_capacity = static_cast<std::size_t>(trace_capacity);
   }
