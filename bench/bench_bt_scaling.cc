@@ -34,7 +34,6 @@ void BM_BtPathRandomGraph(benchmark::State& state) {
   if (!query.ok()) std::abort();
   BtOptions options;
   options.range = nodes + 2;  // inflationary saturation bound
-  options.semi_naive = true;
 
   uint64_t derived = 0;
   for (auto _ : state) {
@@ -59,7 +58,6 @@ void BM_BtSkiResorts(benchmark::State& state) {
   BtOptions options;
   // I-periodic: range is database-independent (b + c + p with p | 28).
   options.range = 28 + 28 + 8;
-  options.semi_naive = true;
 
   for (auto _ : state) {
     auto result = RunBt(unit.program, unit.database, *query, options);
@@ -85,7 +83,6 @@ void BM_BtSkewedJoin(benchmark::State& state) {
   if (!query.ok()) std::abort();
   BtOptions options;
   options.horizon = 200;
-  options.semi_naive = true;
 
   uint64_t match_steps = 0;
   for (auto _ : state) {
@@ -111,7 +108,6 @@ void BM_BtDepthLinear(benchmark::State& state) {
   if (!query.ok()) std::abort();
   BtOptions options;
   options.range = 2;
-  options.semi_naive = true;
   for (auto _ : state) {
     auto result = RunBt(unit.program, unit.database, *query, options);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());

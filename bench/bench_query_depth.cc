@@ -59,7 +59,6 @@ void BM_BtAskAtDepth(benchmark::State& state) {
   if (!query.ok()) std::abort();
   BtOptions options;
   options.horizon = h;
-  options.semi_naive = true;
   for (auto _ : state) {
     auto result = RunBt(ski.unit.program, ski.unit.database, *query, options);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());

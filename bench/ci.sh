@@ -13,8 +13,8 @@
 # connection with the reuse counters asserted — + request-id round-trip
 # into response/slow-log/trace, a /statements scrape with exact shape
 # counts, an /explain rewrite cross-check, no-5xx assertion + clean
-# SIGINT shutdown), an
-# AddressSanitizer/UBSan build
+# SIGINT shutdown), the perfbench smoke test (the BENCHMARK.json harness
+# builds and answers), an AddressSanitizer/UBSan build
 # (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run, and a
 # ThreadSanitizer build running the serve, statements and metrics suites.
 #
@@ -61,9 +61,8 @@ echo "lint gate: ok"
 # never crash or mis-parse) over every shipped example, and the soundness
 # suite (tests/flow_soundness_test.cc) re-checks the static bounds against
 # the dynamic detector over the same examples plus the workload-generator
-# programs: bounded => detected period 1 within the static horizon, the
-# static period divisor divides the detected period, and hint-seeded
-# detection produces bit-identical specifications.
+# programs: bounded => detected period 1 within the static horizon, and the
+# static period divisor divides the detected period.
 echo "== chronolog_flow gate (static bounds vs dynamic detector) =="
 for program in examples/programs/*.tdl; do
   echo "analyze: $program"
@@ -102,6 +101,13 @@ fi
 # histogram stayed empty. Instruments are created at phase *entry*, so an
 # empty histogram after a metered run means an instrumented phase never
 # recorded — dead instrumentation, not an idle phase.
+# The repo benchmark (BENCHMARK.json) compiles perfbench/ against the engine
+# headers, including the evaluator option structs; its smoke test builds it
+# and checks every workload's result line, so a header change that breaks
+# the benchmark build or its answers fails here rather than at bench time.
+echo "== perfbench smoke test =="
+python3 perfbench/smoke_test.py
+
 echo "== metrics liveness (metered spec-build pass) =="
 CHRONOLOG_METRICS_OUT="$BUILD_DIR/spec_metrics.json" \
   "$BUILD_DIR/bench/bench_spec_build" \

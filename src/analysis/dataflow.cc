@@ -727,18 +727,10 @@ FlowAnalysis AnalyzeProgram(const Program& program, const Database& database,
         program, static_cast<int>(i), Severity::kNote,
         flow_code::kJoinOrderPrior,
         "static join-order prior [" + text +
-            "] differs from the source order; it seeds the plan cache "
-            "before runtime sampling"));
+            "] differs from the source order"));
   }
   SortDiagnostics(&out);
   return analysis;
-}
-
-void SeedPeriodOptions(const FlowHints& hints,
-                       PeriodDetectionOptions* options) {
-  if (hints.initial_horizon > options->initial_horizon) {
-    options->initial_horizon = hints.initial_horizon;
-  }
 }
 
 const std::vector<LintPassInfo>& FlowPassRegistry() {

@@ -12,8 +12,6 @@
 #include "analysis/diagnostics.h"
 #include "analysis/lint.h"
 #include "ast/program.h"
-#include "eval/rule_eval.h"
-#include "spec/period.h"
 
 namespace chronolog {
 
@@ -30,11 +28,12 @@ namespace chronolog {
 //     such that the per-timestep relation holds O(n^k) tuples in the
 //     database size measure n (A005, A006);
 //   * binding-pattern (adornment) analysis — bound/free propagation from
-//     query roots, exporting static join-order priors that seed the
-//     RuleEvaluator plan cache before runtime sampling (A007, A008).
+//     query roots, exporting the static (SIPS) join order of each rule
+//     (A007, A008).
 //
-// Every result is advisory: hints feed PeriodDetectionOptions and the join
-// planner, but correctness of evaluation never depends on them.
+// Every result is a diagnostic: evaluation never reads it. The results
+// surface through `chronolog-lint --analyze`, `GET /analyze` and
+// TemporalDatabase::analysis().
 // ---------------------------------------------------------------------------
 
 /// Rules of a program grouped by the dependency-graph component of their
@@ -145,6 +144,11 @@ struct DegreeResult {
 // Analysis 3: binding patterns (adornments).
 // ---------------------------------------------------------------------------
 
+/// Static join-order priors, indexed like Program::rules(): for rule i,
+/// priors[i] is the preferred body-atom evaluation order (source positions),
+/// or empty for "no preference".
+using JoinOrderPriors = std::vector<std::vector<uint32_t>>;
+
 struct AdornmentResult {
   /// Per predicate, the distinct binding patterns ('b'/'f' per non-temporal
   /// argument, most-bound first) reachable from the roots. Predicates never
@@ -152,7 +156,6 @@ struct AdornmentResult {
   std::vector<std::vector<std::string>> patterns;
   /// Per rule (indexed like Program::rules()), the statically preferred
   /// body-atom evaluation order; empty = source order / no preference.
-  /// Consumed by FixpointOptions::plan_priors.
   JoinOrderPriors priors;
 };
 
@@ -160,11 +163,9 @@ struct AdornmentResult {
 // The combined run.
 // ---------------------------------------------------------------------------
 
-/// Detection seeds derived from the offset analysis. `initial_horizon == 0`
-/// means no prediction. Seeding is result-invariant: the doubling detector
-/// converges to the model's minimal period from any starting window, and
-/// progressive programs use the exact forward detector, which ignores the
-/// hint entirely.
+/// Summary bounds derived from the offset analysis. `initial_horizon` is the
+/// predicted stabilization window of the doubling detector (0 = no
+/// prediction); it is reported, never applied.
 struct FlowHints {
   int64_t initial_horizon = 0;
   int64_t period_divisor = 1;
@@ -181,8 +182,8 @@ struct FlowOptions {
   /// Degree budget: predicates whose proven degree exceeds it get an A005
   /// warning.
   int degree_budget = 8;
-  /// Cap applied to the exported initial-horizon hint (seeding beyond the
-  /// detector's own max_horizon would be useless work).
+  /// Cap applied to the exported initial-horizon hint (the detector's own
+  /// default max_horizon).
   int64_t max_horizon_hint = 1 << 20;
 };
 
@@ -208,12 +209,6 @@ struct FlowAnalysis {
 /// in the program size up to the bounded SCC fixpoints.
 FlowAnalysis AnalyzeProgram(const Program& program, const Database& database,
                             const FlowOptions& options = {});
-
-/// Applies `hints` to detection options: raises `initial_horizon` to the
-/// predicted stabilization window when the prediction exceeds the
-/// configured start. Never lowers anything; results are unchanged by
-/// construction (see FlowHints).
-void SeedPeriodOptions(const FlowHints& hints, PeriodDetectionOptions* options);
 
 /// The registered flow passes (same shape as LintPassRegistry; surfaced by
 /// `chronolog-lint --list-passes`).

@@ -70,7 +70,7 @@ Result<InflationaryReport> TemporalDatabase::inflationary() {
   if (!inflationary_.has_value()) {
     CHRONOLOG_ASSIGN_OR_RETURN(
         InflationaryReport report,
-        CheckInflationary(unit_.program, options_.inflationary_check));
+        CheckInflationary(unit_.program, options_.period));
     inflationary_ = std::move(report);
   }
   return *inflationary_;
@@ -92,21 +92,9 @@ const FlowAnalysis& TemporalDatabase::analysis() {
 
 Result<const RelationalSpecification*> TemporalDatabase::specification() {
   if (!spec_.has_value()) {
-    // Under `analyze`, detection options are seeded from the static hints:
-    // the initial doubling window starts at the predicted stabilization
-    // horizon and the adornment join-order priors seed the plan caches.
-    // Both are cost-only steers — the detected period and the resulting
-    // specification are bit-identical to an unseeded build (the soundness
-    // gate in tests/flow_soundness_test.cc asserts exactly this).
-    PeriodDetectionOptions period_options = options_.period;
-    if (options_.analyze) {
-      const FlowAnalysis& flow = analysis();
-      SeedPeriodOptions(flow.hints, &period_options);
-      period_options.plan_priors = &flow.adornments.priors;
-    }
     const auto start = std::chrono::steady_clock::now();
     Result<RelationalSpecification> spec = BuildSpecification(
-        unit_.program, unit_.database, period_options, &spec_info_);
+        unit_.program, unit_.database, options_.period, &spec_info_);
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - start)
                                .count();
@@ -142,8 +130,7 @@ Result<bool> TemporalDatabase::AskBt(std::string_view ground_atom,
   CHRONOLOG_ASSIGN_OR_RETURN(GroundAtom atom,
                              ParseGroundAtom(ground_atom, vocab()));
   BtOptions options;
-  options.metrics = metrics_.get();
-  options.trace = trace_.get();
+  static_cast<EvalContext&>(options) = options_.period;
   if (range.has_value()) {
     options.range = *range;
   } else {
@@ -193,9 +180,8 @@ Result<std::string> TemporalDatabase::Explain(std::string_view ground_atom) {
   // atoms within the representative segment (same margin as algorithm BT:
   // representatives act as both h and range here).
   FixpointOptions options;
+  static_cast<EvalContext&>(options) = options_.period;
   options.max_time = 2 * spec->num_representatives();
-  options.metrics = metrics_.get();
-  options.trace = trace_.get();
   CHRONOLOG_ASSIGN_OR_RETURN(
       ProofForest forest,
       MaterializeWithProvenance(unit_.program, unit_.database, options));

@@ -25,10 +25,10 @@ namespace chronolog {
 
 /// Engine-level options.
 struct EngineOptions {
-  /// Budgets for period detection / specification construction.
+  /// Budgets for period detection / specification construction and for
+  /// the Theorem 5.2 inflationary decision procedure. Its EvalContext is the
+  /// engine's: AskBt and Explain evaluate under the same budget and sinks.
   PeriodDetectionOptions period;
-  /// Budgets for the Theorem 5.2 inflationary decision procedure.
-  PeriodDetectionOptions inflationary_check;
   /// No-op: evaluation is sequential. Kept only because perfbench/ still
   /// sets it; delete it together with those assignments.
   int num_threads = 1;
@@ -43,15 +43,8 @@ struct EngineOptions {
   LintLevel lint_level = LintLevel::kOff;
   /// Pass configuration used when `lint_level != kOff`.
   LintOptions lint;
-  /// Run the chronolog_flow static analyses (analysis/dataflow.h) and let
-  /// their results steer evaluation: the temporal-offset hints seed
-  /// `period.initial_horizon` (result-invariant — the doubling detector
-  /// converges to the model's minimal period from any starting window) and
-  /// the adornment join-order priors seed the RuleEvaluator plan caches
-  /// (plans never affect results). Off by default; the analysis is also
-  /// available on demand via TemporalDatabase::analysis().
-  bool analyze = false;
-  /// Pass configuration for the flow analyses (roots, degree budget).
+  /// Pass configuration for the flow analyses (roots, degree budget) run by
+  /// TemporalDatabase::analysis().
   FlowOptions flow;
   /// Build the chronolog_obs observability layer for this database: the
   /// engine owns a MetricsRegistry + TraceBuffer and wires them through
@@ -113,9 +106,8 @@ class TemporalDatabase {
   /// Theorem 5.2 inflationary verdict (computed once, cached).
   Result<InflationaryReport> inflationary();
 
-  /// The chronolog_flow static analysis (computed once, cached). Available
-  /// regardless of `EngineOptions::analyze`; the flag only controls whether
-  /// the hints steer specification builds.
+  /// The chronolog_flow static analysis (computed once, cached). A
+  /// diagnostic only: evaluation never reads it.
   const FlowAnalysis& analysis();
 
   /// The relational specification `(T, B, W)` of the least model (built
@@ -181,8 +173,6 @@ class TemporalDatabase {
       trace_ = std::make_unique<TraceBuffer>(options_.trace_capacity);
       options_.period.metrics = metrics_.get();
       options_.period.trace = trace_.get();
-      options_.inflationary_check.metrics = metrics_.get();
-      options_.inflationary_check.trace = trace_.get();
     }
   }
 
@@ -193,8 +183,8 @@ class TemporalDatabase {
   std::unique_ptr<TraceBuffer> trace_;
   std::optional<ProgramClassification> classification_;
   std::optional<InflationaryReport> inflationary_;
-  // Heap-allocated so the join-order priors handed to evaluators stay valid
-  // across moves of this object (same reasoning as the metrics sinks).
+  // Heap-allocated so the reference analysis() returns stays valid across
+  // moves of this object (same reasoning as the metrics sinks).
   std::unique_ptr<FlowAnalysis> analysis_;
   std::optional<RelationalSpecification> spec_;
   SpecificationBuildInfo spec_info_;

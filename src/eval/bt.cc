@@ -20,28 +20,25 @@ Result<BtResult> RunBt(const Program& program, const Database& db,
   const int64_t h = query_temporal ? query.time : 0;
   const int64_t c = db.MaxTemporalDepth();
 
-  int64_t m;
+  // m = max(c, h) + range(Z ∧ D), as in the proof of Theorem 4.1. A wrapped
+  // bound would truncate the query's own timestep away.
+  int64_t m = 0;
   if (options.horizon.has_value()) {
     m = *options.horizon;
-  } else {
-    // m = max(c, h) + range(Z ∧ D), as in the proof of Theorem 4.1.
-    m = std::max(c, h) + *options.range;
+  } else if (__builtin_add_overflow(std::max(c, h), *options.range, &m)) {
+    return OutOfRangeError("BT bound max(c, h) + range = " +
+                           std::to_string(std::max(c, h)) + " + " +
+                           std::to_string(*options.range) +
+                           " does not fit int64_t");
   }
 
   FixpointOptions fp;
+  static_cast<EvalContext&>(fp) = options;
   fp.max_time = m;
-  fp.max_facts = options.max_facts;
-  fp.metrics = options.metrics;
-  fp.trace = options.trace;
 
   BtResult result{false, m, Interpretation(program.vocab_ptr()), {}};
-  if (options.semi_naive) {
-    CHRONOLOG_ASSIGN_OR_RETURN(
-        result.model, SemiNaiveFixpoint(program, db, fp, &result.stats));
-  } else {
-    CHRONOLOG_ASSIGN_OR_RETURN(
-        result.model, NaiveFixpoint(program, db, fp, &result.stats));
-  }
+  CHRONOLOG_ASSIGN_OR_RETURN(result.model,
+                             SemiNaiveFixpoint(program, db, fp, &result.stats));
   result.answer = result.model.Contains(query);
   return result;
 }

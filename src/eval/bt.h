@@ -11,8 +11,9 @@
 
 namespace chronolog {
 
-/// Options for algorithm BT (paper, Figure 1).
-struct BtOptions {
+/// Options for algorithm BT (paper, Figure 1). The fact budget and the
+/// sinks come from the EvalContext base and reach the fixpoint unchanged.
+struct BtOptions : EvalContext {
   /// The paper's `range(Z ∧ D)`: the number of different states of the least
   /// model. BT computes its working bound as `m = max(c, h) + range`.
   /// Obtain it from a periodicity analysis (spec/period.h) or from the class
@@ -24,24 +25,9 @@ struct BtOptions {
   /// depth-scaling benchmark E4).
   std::optional<int64_t> horizon;
 
-  /// Use the semi-naive fixpoint internally. Figure 1 iterates the full
-  /// operator (naive); both produce the identical truncated least model.
-  /// Defaults to semi-naive: the naive loop re-derives the whole model on
-  /// every pass and is retired from production use — it survives only as
-  /// the reference oracle the equivalence tests compare against (set this
-  /// to false to reach it).
-  bool semi_naive = true;
-
-  uint64_t max_facts = 50'000'000;
-
   /// No-op: evaluation is sequential. Kept only because perfbench/ still
   /// sets it; delete it together with those assignments.
   int num_threads = 1;
-
-  /// Observability sinks (chronolog_obs), forwarded to the underlying
-  /// fixpoint; null disables collection.
-  MetricsRegistry* metrics = nullptr;
-  TraceBuffer* trace = nullptr;
 };
 
 /// Outcome of a BT run for a ground atomic query.
@@ -57,8 +43,9 @@ struct BtResult {
 
 /// Algorithm BT: decides `M_{Z∧D} |= query` for a ground atomic temporal
 /// query by computing the least model truncated to the segment `[0...m]`
-/// (Theorem 4.1). Polynomial in `max(n, c, h)` whenever the period — and
-/// hence `range(Z∧D)` — is polynomially bounded.
+/// (Theorem 4.1) with the semi-naive fixpoint. Polynomial in `max(n, c, h)`
+/// whenever the period — and hence `range(Z∧D)` — is polynomially bounded.
+/// Fails with kOutOfRange when `max(c, h) + range` does not fit `int64_t`.
 Result<BtResult> RunBt(const Program& program, const Database& db,
                        const GroundAtom& query, const BtOptions& options);
 

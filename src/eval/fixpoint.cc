@@ -34,13 +34,28 @@ struct TaskPair {
 };
 
 /// Folds `fact` into `full`, maintaining inserted/min_new_time stats.
-void InsertIntoFull(const Vocabulary& vocab, Interpretation& full,
+/// Returns whether the fact was new.
+bool InsertIntoFull(const Vocabulary& vocab, Interpretation& full,
                     PredicateId pred, int64_t time, const Tuple& args,
                     EvalStats* stats) {
-  if (full.Insert(pred, time, args)) {
-    ++stats->inserted;
-    if (vocab.predicate(pred).is_temporal) {
-      stats->min_new_time = std::min(stats->min_new_time, time);
+  if (!full.Insert(pred, time, args)) return false;
+  ++stats->inserted;
+  if (vocab.predicate(pred).is_temporal) {
+    stats->min_new_time = std::min(stats->min_new_time, time);
+  }
+  return true;
+}
+
+/// Folds the database facts within `[0...max_time]` into `full`; the new
+/// ones also go to `delta` when it is non-null.
+void SeedDatabase(const Vocabulary& vocab, const Database& db,
+                  int64_t max_time, Interpretation& full,
+                  Interpretation* delta, EvalStats* stats) {
+  for (const GroundAtom& f : db.facts()) {
+    if (WithinBound(vocab, f, max_time) &&
+        InsertIntoFull(vocab, full, f.pred, f.time, f.args, stats) &&
+        delta != nullptr) {
+      delta->Insert(f);
     }
   }
 }
@@ -75,13 +90,8 @@ Status RunSemiNaiveRounds(const Program& program,
 
   std::vector<RuleEvaluator> evaluators;
   evaluators.reserve(program.rules().size());
-  for (std::size_t i = 0; i < program.rules().size(); ++i) {
-    evaluators.emplace_back(program.rules()[i], vocab, options.use_index,
-                            options.metrics);
-    if (options.plan_priors != nullptr && i < options.plan_priors->size() &&
-        !(*options.plan_priors)[i].empty()) {
-      evaluators.back().SetStaticOrderPrior(&(*options.plan_priors)[i]);
-    }
+  for (const Rule& rule : program.rules()) {
+    evaluators.emplace_back(rule, vocab, options.use_index, options.metrics);
   }
 
   // Derivable (IDB) predicates: heads of some rule.
@@ -208,13 +218,8 @@ Result<Interpretation> ApplyTp(const Program& program, const Database& db,
     const bool is_new = !interp.Contains(f);
     if (out.Insert(f) && is_new) count_if_new(f.pred, f.time);
   }
-  for (std::size_t i = 0; i < program.rules().size(); ++i) {
-    const Rule& rule = program.rules()[i];
+  for (const Rule& rule : program.rules()) {
     RuleEvaluator evaluator(rule, vocab, options.use_index, options.metrics);
-    if (options.plan_priors != nullptr && i < options.plan_priors->size() &&
-        !(*options.plan_priors)[i].empty()) {
-      evaluator.SetStaticOrderPrior(&(*options.plan_priors)[i]);
-    }
     evaluator.Evaluate(interp, /*delta=*/nullptr, /*delta_pos=*/-1,
                        /*time_binding=*/std::nullopt, stats,
                        [&](GroundAtom&& fact) {
@@ -246,21 +251,15 @@ Result<Interpretation> NaiveFixpoint(const Program& program,
   Counter* passes = options.metrics != nullptr
                         ? options.metrics->counter("fixpoint.naive.passes")
                         : nullptr;
-  const Vocabulary& vocab = program.vocab();
+  EvalStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
   Interpretation current(program.vocab_ptr());
   // Database seeds are counted here: from the first pass on, ApplyTp sees
   // them as already present in its input and reports only derived news.
-  for (const GroundAtom& f : db.facts()) {
-    if (!WithinBound(vocab, f, options.max_time)) continue;
-    if (current.Insert(f) && stats != nullptr) {
-      ++stats->inserted;
-      if (vocab.predicate(f.pred).is_temporal) {
-        stats->min_new_time = std::min(stats->min_new_time, f.time);
-      }
-    }
-  }
+  SeedDatabase(program.vocab(), db, options.max_time, current,
+               /*delta=*/nullptr, stats);
   while (true) {
-    if (stats != nullptr) ++stats->iterations;
+    ++stats->iterations;
     if (passes != nullptr) passes->Add();
     CHRONOLOG_ASSIGN_OR_RETURN(Interpretation next,
                                ApplyTp(program, db, current, options, stats));
@@ -279,20 +278,10 @@ Result<Interpretation> SemiNaiveFixpoint(const Program& program,
   TraceSpan span(options.trace, "fixpoint.semi_naive");
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  const Vocabulary& vocab = program.vocab();
   Interpretation full(program.vocab_ptr());
   Interpretation delta(program.vocab_ptr());
   delta.DisableSnapshotHashing();
-  for (const GroundAtom& f : db.facts()) {
-    if (!WithinBound(vocab, f, options.max_time)) continue;
-    if (full.Insert(f)) {
-      ++stats->inserted;
-      if (vocab.predicate(f.pred).is_temporal) {
-        stats->min_new_time = std::min(stats->min_new_time, f.time);
-      }
-      delta.Insert(f);
-    }
-  }
+  SeedDatabase(program.vocab(), db, options.max_time, full, &delta, stats);
   Status status =
       RunSemiNaiveRounds(program, options, stats, full, std::move(delta));
   if (!status.ok()) return status;
@@ -322,16 +311,7 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
   delta.DisableSnapshotHashing();
 
   // (a) Database facts the old bound truncated away.
-  for (const GroundAtom& f : db.facts()) {
-    if (!WithinBound(vocab, f, options.max_time)) continue;
-    if (full.Insert(f)) {
-      ++stats->inserted;
-      if (vocab.predicate(f.pred).is_temporal) {
-        stats->min_new_time = std::min(stats->min_new_time, f.time);
-      }
-      delta.Insert(f);
-    }
-  }
+  SeedDatabase(vocab, db, options.max_time, full, &delta, stats);
 
   // (b) The frontier: every fact at time > prior_max_time - g (see the
   // header for why this window suffices). These facts are already in `full`;
@@ -355,15 +335,10 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
   // instantiations whose body is entirely old. (Heads at or below the old
   // bound are already closed in `prior`.)
   std::vector<GroundAtom> ground_head_facts;
-  for (std::size_t i = 0; i < program.rules().size(); ++i) {
-    const Rule& rule = program.rules()[i];
+  for (const Rule& rule : program.rules()) {
     if (!rule.head.temporal() || !rule.head.time->ground()) continue;
     if (rule.head.time->offset <= prior_max_time) continue;
     RuleEvaluator evaluator(rule, vocab, options.use_index, options.metrics);
-    if (options.plan_priors != nullptr && i < options.plan_priors->size() &&
-        !(*options.plan_priors)[i].empty()) {
-      evaluator.SetStaticOrderPrior(&(*options.plan_priors)[i]);
-    }
     evaluator.Evaluate(full, /*delta=*/nullptr, /*delta_pos=*/-1,
                        /*time_binding=*/std::nullopt, stats,
                        [&](GroundAtom&& fact) {
@@ -375,11 +350,7 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
                        });
   }
   for (GroundAtom& fact : ground_head_facts) {
-    if (full.Insert(fact)) {
-      ++stats->inserted;
-      if (vocab.predicate(fact.pred).is_temporal) {
-        stats->min_new_time = std::min(stats->min_new_time, fact.time);
-      }
+    if (InsertIntoFull(vocab, full, fact.pred, fact.time, fact.args, stats)) {
       delta.Insert(std::move(fact));
     }
   }

@@ -11,34 +11,15 @@
 
 namespace chronolog {
 
-class MetricsRegistry;
-class TraceBuffer;
-
 /// Limits for bottom-up evaluation. `max_time` is the truncation bound `m` of
 /// algorithm BT: derived temporal facts beyond it are discarded, which makes
-/// every fixpoint below finite. `max_facts` guards against workloads that
-/// are legitimately too large (kResourceExhausted).
-struct FixpointOptions {
+/// every fixpoint below finite. The fact budget and the sinks come from the
+/// EvalContext base.
+struct FixpointOptions : EvalContext {
   int64_t max_time = 0;
-  uint64_t max_facts = 50'000'000;
   /// Hash-join via lazily built column indexes; disable for the
   /// nested-loop baseline (experiment E8 ablation).
   bool use_index = true;
-  /// Observability sinks (chronolog_obs, util/metrics.h + util/trace.h).
-  /// Null disables collection at the cost of one branch per site; the
-  /// engine wires these up when `EngineOptions::collect_metrics` is set.
-  MetricsRegistry* metrics = nullptr;
-  TraceBuffer* trace = nullptr;
-  /// Static join-order priors from the chronolog_flow adornment analysis,
-  /// indexed like Program::rules(); null or an empty inner vector leaves a
-  /// rule on greedy selectivity planning. Must outlive the fixpoint call.
-  /// Plans never affect results, only cost (see RuleEvaluator).
-  const JoinOrderPriors* plan_priors = nullptr;
-  /// When non-null, the semi-naive evaluator snapshots its cached join
-  /// plans into `*plan_report` (overwriting it wholesale, indexed like
-  /// Program::rules()) just before its evaluators are destroyed — the raw
-  /// material of EXPLAIN. The naive reference path ignores this.
-  RulePlanReport* plan_report = nullptr;
 };
 
 /// One application of the immediate-consequence operator:
@@ -60,9 +41,8 @@ Result<Interpretation> ApplyTp(const Program& program, const Database& db,
 /// Reports the same `inserted`/`min_new_time` totals as SemiNaiveFixpoint
 /// on the same program (each fact counted once, in its first pass).
 ///
-/// Test-only reference oracle: nothing in production reaches this path any
-/// more (BtOptions defaults to semi-naive, and the engine never overrides
-/// it). It is kept because it is a direct transcription of Figure 1 — small
+/// Test-only reference oracle: nothing in production reaches this path. It
+/// is kept because it is a direct transcription of Figure 1 — small
 /// enough to audit by eye — and the equivalence suites compare the
 /// semi-naive evaluator's models, stats, and snapshot hashes against it.
 Result<Interpretation> NaiveFixpoint(const Program& program,

@@ -13,9 +13,6 @@
 
 namespace chronolog {
 
-class MetricsRegistry;
-class TraceBuffer;
-
 /// A period `(b, p)` of a least model in the paper's convention
 /// (Section 3.2): `M[t] = M[t+p]` for all `t >= b + c`, where `c` is the
 /// maximum temporal depth in the database.
@@ -48,19 +45,12 @@ struct ProgressivityReport {
 
 ProgressivityReport CheckProgressive(const Program& program);
 
-struct ForwardOptions {
+/// The fact budget and the sinks come from the EvalContext base.
+struct ForwardOptions : EvalContext {
   /// Upper bound on simulated timesteps before giving up with
   /// kResourceExhausted (the period of an arbitrary TDD can be exponential —
   /// Theorem 3.1 — so a guard is mandatory).
   int64_t max_steps = 1'000'000;
-  uint64_t max_facts = 50'000'000;
-  /// Observability sinks (chronolog_obs); null disables collection.
-  MetricsRegistry* metrics = nullptr;
-  TraceBuffer* trace = nullptr;
-  /// When non-null, a successful simulation snapshots its cached join plans
-  /// into `*plan_report` (overwritten wholesale, indexed like
-  /// Program::rules()) before returning — the raw material of EXPLAIN.
-  RulePlanReport* plan_report = nullptr;
 };
 
 /// Result of a forward simulation run.

@@ -79,6 +79,7 @@ Result<ProofForest> MaterializeWithProvenance(const Program& program,
     evaluators.emplace_back(rule, vocab, options.use_index, options.metrics);
   }
 
+  std::vector<GroundAtom> body;  // premises of each emitted instantiation
   while (!delta.empty()) {
     if (stats != nullptr) ++stats->iterations;
     Interpretation next_delta(program.vocab_ptr());
@@ -87,9 +88,9 @@ Result<ProofForest> MaterializeWithProvenance(const Program& program,
     for (std::size_t ri = 0; ri < program.rules().size(); ++ri) {
       const Rule& rule = program.rules()[ri];
       for (int pos = 0; pos < static_cast<int>(rule.body.size()); ++pos) {
-        evaluators[ri].EvaluateWithBody(
+        evaluators[ri].Evaluate(
             full, &delta, pos, std::nullopt, stats,
-            [&](GroundAtom&& head, std::vector<GroundAtom>&& body) {
+            [&](GroundAtom&& head) {
               if (vocab.predicate(head.pred).is_temporal &&
                   head.time > options.max_time) {
                 return;
@@ -98,7 +99,7 @@ Result<ProofForest> MaterializeWithProvenance(const Program& program,
               ProofNode node;
               node.rule_index = static_cast<int>(ri);
               node.premises.reserve(body.size());
-              for (GroundAtom& premise : body) {
+              for (const GroundAtom& premise : body) {
                 // Premises were matched against `full` or `delta`; both
                 // are subsets of the forest, so the lookup always succeeds.
                 std::size_t id = forest.Find(premise);
@@ -111,7 +112,8 @@ Result<ProofForest> MaterializeWithProvenance(const Program& program,
               if (full.size() + pending.size() > options.max_facts) {
                 overflow = true;
               }
-            });
+            },
+            &body);
         if (overflow) {
           return ResourceExhaustedError(
               "provenance fixpoint exceeded max_facts = " +

@@ -122,25 +122,11 @@ std::size_t RuleEvaluator::SlotKey(int delta_pos, bool time_bound) const {
   return static_cast<std::size_t>(delta_pos + 1) * 2 + (time_bound ? 1 : 0);
 }
 
-void RuleEvaluator::SetStaticOrderPrior(const std::vector<uint32_t>* order) {
-  static_prior_ = nullptr;
-  if (order == nullptr || order->size() != rule_.body.size()) return;
-  std::vector<char> seen(rule_.body.size(), 0);
-  for (uint32_t pos : *order) {
-    if (pos >= rule_.body.size() || seen[pos]) return;  // not a permutation
-    seen[pos] = 1;
-  }
-  static_prior_ = order;
-}
-
 std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
     const Interpretation& full, const Interpretation* delta, int delta_pos,
-    bool time_bound, bool use_prior) const {
+    bool time_bound) const {
   auto plan = std::make_unique<JoinPlan>();
   const std::size_t n = rule_.body.size();
-  // A static prior pins the atom order of the first plan; probe columns and
-  // estimates still come from live statistics below.
-  const std::vector<uint32_t>* prior = use_prior ? static_prior_ : nullptr;
   plan->steps.reserve(n);
   std::vector<char> used(n, 0);
   // Variables known at each greedy step: pre-bound temporal variable first
@@ -158,7 +144,6 @@ std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
     bool best_delta = false;
     for (std::size_t pos = 0; pos < n; ++pos) {
       if (used[pos]) continue;
-      if (prior != nullptr && pos != (*prior)[step]) continue;
       const Atom& atom = rule_.body[pos];
       const bool is_delta =
           delta != nullptr && static_cast<int>(pos) == delta_pos;
@@ -243,7 +228,7 @@ RuleEvaluator::JoinPlan* RuleEvaluator::GetOrBuildPlan(
   PlanCache& cache = *plans_;
   std::unique_ptr<JoinPlan>& slot = cache.slots[SlotKey(delta_pos, time_bound)];
   if (slot == nullptr) {
-    slot = BuildPlan(full, delta, delta_pos, time_bound, /*use_prior=*/true);
+    slot = BuildPlan(full, delta, delta_pos, time_bound);
     if (cache.plans != nullptr) cache.plans->Add();
     if (cache.est_hist != nullptr) {
       cache.est_hist->RecordValue(
@@ -263,10 +248,8 @@ RuleEvaluator::JoinPlan* RuleEvaluator::GetOrBuildPlan(
   if (actual <= kReplanFactor * std::max(1.0, plan.est_steps_per_emit)) {
     return slot.get();
   }
-  // Re-plans always use full greedy planning: a prior that drifted this far
-  // above its estimate has been refuted by observation.
   std::unique_ptr<JoinPlan> fresh =
-      BuildPlan(full, delta, delta_pos, time_bound, /*use_prior=*/false);
+      BuildPlan(full, delta, delta_pos, time_bound);
   fresh->replan_min_steps = plan.replan_min_steps * 2;  // backoff
   bool changed = fresh->steps.size() != plan.steps.size();
   for (std::size_t i = 0; !changed && i < fresh->steps.size(); ++i) {
@@ -316,24 +299,8 @@ void RuleEvaluator::ExportPlans(std::vector<PlanSlotReport>* out) const {
 void RuleEvaluator::Evaluate(
     const Interpretation& full, const Interpretation* delta, int delta_pos,
     std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
-    const std::function<void(GroundAtom&&)>& emit) const {
-  EvaluateImpl(full, delta, delta_pos, time_binding, stats, &emit, nullptr);
-}
-
-void RuleEvaluator::EvaluateWithBody(
-    const Interpretation& full, const Interpretation* delta, int delta_pos,
-    std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
-    const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>& emit)
-    const {
-  EvaluateImpl(full, delta, delta_pos, time_binding, stats, nullptr, &emit);
-}
-
-void RuleEvaluator::EvaluateImpl(
-    const Interpretation& full, const Interpretation* delta, int delta_pos,
-    std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
-    const std::function<void(GroundAtom&&)>* emit,
-    const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>*
-        emit_with_body) const {
+    const std::function<void(GroundAtom&&)>& emit,
+    std::vector<GroundAtom>* premises) const {
   Bindings bindings(rule_.num_vars());
   if (time_binding.has_value()) {
     bindings.bound[time_binding->first] = 1;
@@ -342,40 +309,12 @@ void RuleEvaluator::EvaluateImpl(
 
   Trail trail;
 
-  // Ground-instantiates `atom` under the current bindings (complete for
-  // the head by range-restriction; complete for body atoms at emit time).
-  auto instantiate = [&](const Atom& atom) {
-    GroundAtom fact;
-    fact.pred = atom.pred;
-    if (atom.temporal()) {
-      const TemporalTerm& tt = *atom.time;
-      if (tt.ground()) {
-        fact.time = tt.offset;
-      } else {
-        assert(bindings.bound[tt.var]);
-        fact.time = bindings.tval[tt.var] + tt.offset;
-      }
-    }
-    fact.args.reserve(atom.args.size());
-    for (const NtTerm& t : atom.args) {
-      if (t.is_constant()) {
-        fact.args.push_back(t.id);
-      } else {
-        assert(bindings.bound[t.id]);
-        fact.args.push_back(bindings.nval[t.id]);
-      }
-    }
-    return fact;
-  };
-
-  // Scratch head atom for the plain-emit path. Sinks that drop duplicates
-  // without moving the atom leave `scratch.args`'s capacity behind, so the
-  // (dominant) duplicate-derivation case allocates nothing. Sinks never
-  // retain a reference past the call, so reuse is safe.
-  GroundAtom scratch;
-  auto instantiate_head_into = [&](GroundAtom* fact) {
-    const Atom& atom = rule_.head;
+  // Ground-instantiates `atom` under the current bindings into `*fact`
+  // (complete for the head by range-restriction; complete for body atoms at
+  // emit time), reusing the capacity of `fact->args`.
+  auto instantiate_into = [&](const Atom& atom, GroundAtom* fact) {
     fact->pred = atom.pred;
+    fact->time = 0;
     if (atom.temporal()) {
       const TemporalTerm& tt = *atom.time;
       if (tt.ground()) {
@@ -396,17 +335,21 @@ void RuleEvaluator::EvaluateImpl(
     }
   };
 
+  // Scratch head atom. Sinks that drop duplicates without moving the atom
+  // leave `scratch.args`'s capacity behind, so the (dominant)
+  // duplicate-derivation case allocates nothing. Sinks never retain a
+  // reference past the call, so reuse is safe.
+  GroundAtom scratch;
+  if (premises != nullptr) premises->resize(rule_.body.size());
   auto emit_head = [&]() {
     if (stats != nullptr) ++stats->derived;
-    if (emit_with_body != nullptr) {
-      std::vector<GroundAtom> body;
-      body.reserve(rule_.body.size());
-      for (const Atom& atom : rule_.body) body.push_back(instantiate(atom));
-      (*emit_with_body)(instantiate(rule_.head), std::move(body));
-    } else {
-      instantiate_head_into(&scratch);
-      (*emit)(std::move(scratch));
+    if (premises != nullptr) {
+      for (std::size_t i = 0; i < rule_.body.size(); ++i) {
+        instantiate_into(rule_.body[i], &(*premises)[i]);
+      }
     }
+    instantiate_into(rule_.head, &scratch);
+    emit(std::move(scratch));
   };
 
   const std::size_t nsteps = rule_.body.size();

@@ -15,13 +15,7 @@
 namespace chronolog {
 
 class MetricsRegistry;
-
-/// Static join-order priors, indexed like Program::rules(): for rule i,
-/// priors[i] is the preferred body-atom evaluation order (source positions),
-/// or empty for "no preference". Produced by the chronolog_flow adornment
-/// analysis (analysis/dataflow.h) and threaded to the evaluators through
-/// FixpointOptions::plan_priors.
-using JoinOrderPriors = std::vector<std::vector<uint32_t>>;
+class TraceBuffer;
 
 /// Snapshot of one cached join plan, exported for EXPLAIN (serve's
 /// `POST /explain`, tddsh `.explain ?-`). One report per built
@@ -42,6 +36,26 @@ struct PlanSlotReport {
 /// lists the built plan slots of rule i's evaluator (empty when the rule was
 /// never planned — e.g. its predicate never gained facts).
 using RulePlanReport = std::vector<std::vector<PlanSlotReport>>;
+
+/// What every bottom-up evaluator shares: the fact budget and the sinks.
+/// Base of FixpointOptions, ForwardOptions, PeriodDetectionOptions and
+/// BtOptions, so a layer hands it down with one slice copy.
+struct EvalContext {
+  /// Exceeding it fails with kResourceExhausted: guards against workloads
+  /// that are legitimately too large.
+  uint64_t max_facts = 50'000'000;
+  /// Observability sinks (chronolog_obs, util/metrics.h + util/trace.h).
+  /// Null disables collection at the cost of one branch per site; the
+  /// engine wires these up when `EngineOptions::collect_metrics` is set.
+  MetricsRegistry* metrics = nullptr;
+  TraceBuffer* trace = nullptr;
+  /// When non-null, the evaluation snapshots its cached join plans into
+  /// `*plan_report` (overwritten wholesale, indexed like Program::rules())
+  /// before its evaluators are destroyed — the raw material of EXPLAIN.
+  /// When several fixpoints run (verified doubling), the last one wins. The
+  /// naive reference fixpoint and the provenance evaluator ignore it.
+  RulePlanReport* plan_report = nullptr;
+};
 
 /// Counters accumulated by the evaluators. `derived` counts every emitted
 /// head instantiation (before deduplication); `inserted` counts facts that
@@ -112,21 +126,19 @@ class RuleEvaluator {
   /// atoms against `full`). When `time_binding` is set, the temporal
   /// variable `time_binding->first` is pre-bound to `time_binding->second`.
   /// Emitted ground atoms may repeat; the caller deduplicates on insert.
-  void Evaluate(
-      const Interpretation& full, const Interpretation* delta, int delta_pos,
-      std::optional<std::pair<VarId, int64_t>> time_binding,
-      EvalStats* stats,
-      const std::function<void(GroundAtom&&)>& emit) const;
-
-  /// Like Evaluate, but also hands the instantiated ground body atoms (in
-  /// source order) to the callback — the premises of the hyperresolution
-  /// step, used by the provenance evaluator.
-  void EvaluateWithBody(
-      const Interpretation& full, const Interpretation* delta, int delta_pos,
-      std::optional<std::pair<VarId, int64_t>> time_binding,
-      EvalStats* stats,
-      const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>&
-          emit) const;
+  /// The emitted atom is a reused scratch: sinks may move from it but must
+  /// not keep a reference past the call.
+  ///
+  /// When `premises` is non-null, it holds the instantiated ground body
+  /// atoms (in source order) of the current instantiation during each
+  /// `emit` call — the premises of the hyperresolution step, used by the
+  /// provenance evaluator.
+  void Evaluate(const Interpretation& full, const Interpretation* delta,
+                int delta_pos,
+                std::optional<std::pair<VarId, int64_t>> time_binding,
+                EvalStats* stats,
+                const std::function<void(GroundAtom&&)>& emit,
+                std::vector<GroundAtom>* premises = nullptr) const;
 
   /// Body-atom order (source positions) of the cached plan for the given
   /// configuration; empty when no plan has been built yet. Test-only
@@ -140,32 +152,13 @@ class RuleEvaluator {
   /// with its cumulative observation counters.
   void ExportPlans(std::vector<PlanSlotReport>* out) const;
 
-  /// Installs a static join-order prior: the *first* plan built for each
-  /// configuration follows `order` (a permutation of the body positions;
-  /// probe columns and estimates are still derived from live statistics)
-  /// instead of the greedy selectivity order. Drift-triggered re-plans
-  /// ignore the prior and fall back to full greedy planning, so a bad prior
-  /// self-corrects. `order` must outlive the evaluator; an order whose size
-  /// does not match the body, or that is not a permutation, is ignored.
-  /// Plans never affect results, only cost. Must be called before the first
-  /// evaluation.
-  void SetStaticOrderPrior(const std::vector<uint32_t>* order);
-
  private:
   struct JoinPlan;
   struct PlanCache;
 
-  void EvaluateImpl(
-      const Interpretation& full, const Interpretation* delta, int delta_pos,
-      std::optional<std::pair<VarId, int64_t>> time_binding,
-      EvalStats* stats, const std::function<void(GroundAtom&&)>* emit,
-      const std::function<void(GroundAtom&&, std::vector<GroundAtom>&&)>*
-          emit_with_body) const;
-
   std::unique_ptr<JoinPlan> BuildPlan(const Interpretation& full,
                                       const Interpretation* delta,
-                                      int delta_pos, bool time_bound,
-                                      bool use_prior) const;
+                                      int delta_pos, bool time_bound) const;
   JoinPlan* GetOrBuildPlan(const Interpretation& full,
                            const Interpretation* delta, int delta_pos,
                            bool time_bound) const;
@@ -174,8 +167,6 @@ class RuleEvaluator {
   const Rule& rule_;
   const Vocabulary& vocab_;
   bool use_index_;
-  // Static join-order prior (see SetStaticOrderPrior); null = greedy only.
-  const std::vector<uint32_t>* static_prior_ = nullptr;
   // Cached join plans, one slot per (delta_pos, time_bound) configuration.
   // Mutable: planning is an internal optimisation of const evaluation.
   mutable std::unique_ptr<PlanCache> plans_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "eval/fixpoint.h"
 #include "util/metrics.h"
@@ -94,6 +95,10 @@ int64_t NextDoublingHorizon(int64_t m, int64_t max_horizon) {
 
 namespace {
 
+/// Starting window of verified doubling, before widening to the database
+/// horizon plus four temporal depths.
+constexpr int64_t kStartHorizon = 64;
+
 Result<PeriodDetection> DetectByDoubling(const Program& program,
                                          const Database& db,
                                          const PeriodDetectionOptions& options,
@@ -119,7 +124,11 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
                          /*exact=*/false, {}};
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
-  int64_t m = std::max(options.initial_horizon, c + 4 * g + 4);
+  // Saturating `c + 4g + 4`: a wrapped start window would truncate the
+  // database away; a saturated one exceeds max_horizon and is exhausted.
+  int64_t m = std::numeric_limits<int64_t>::max();
+  if (g <= (m - 4) / 4 && c <= m - (4 * g + 4)) m = c + 4 * g + 4;
+  m = std::max(kStartHorizon, m);
   bool have_candidate = false;
   int64_t prev_k = -1;
   int64_t prev_p = -1;
@@ -135,12 +144,8 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
   while (m <= options.max_horizon) {
     if (doublings_counter != nullptr) doublings_counter->Add();
     FixpointOptions fp;
+    static_cast<EvalContext&>(fp) = options;
     fp.max_time = m;
-    fp.max_facts = options.max_facts;
-    fp.metrics = options.metrics;
-    fp.trace = options.trace;
-    fp.plan_priors = options.plan_priors;
-    fp.plan_report = options.plan_report;
     EvalStats round_stats;
     int64_t changed_from = 0;
     {
@@ -224,11 +229,8 @@ Result<PeriodDetection> DetectPeriod(const Program& program,
   ProgressivityReport progressive = CheckProgressive(program);
   if (progressive.progressive) {
     ForwardOptions fwd;
+    static_cast<EvalContext&>(fwd) = options;
     fwd.max_steps = options.max_horizon;
-    fwd.max_facts = options.max_facts;
-    fwd.metrics = options.metrics;
-    fwd.trace = options.trace;
-    fwd.plan_report = options.plan_report;
     CHRONOLOG_ASSIGN_OR_RETURN(ForwardResult forward,
                                ForwardSimulate(program, db, fwd));
     PeriodDetection result{forward.period,

@@ -13,30 +13,16 @@
 
 namespace chronolog {
 
-/// Options for minimal-period detection.
-struct PeriodDetectionOptions {
-  /// Starting window for the verified-doubling detector.
-  int64_t initial_horizon = 64;
+/// Options for minimal-period detection. The fact budget and the sinks come
+/// from the EvalContext base and are handed unchanged to the underlying
+/// fixpoints / forward simulation.
+struct PeriodDetectionOptions : EvalContext {
   /// Hard ceiling for both detectors; exceeded => kResourceExhausted
   /// (periods can be exponential in the database size, Theorem 3.1).
   int64_t max_horizon = 1 << 20;
   /// Permit the verified-doubling fallback for non-progressive programs.
   /// When false, non-progressive programs fail with kFailedPrecondition.
   bool allow_general = true;
-  uint64_t max_facts = 50'000'000;
-  /// Observability sinks (chronolog_obs), forwarded to the underlying
-  /// fixpoints / forward simulation; null disables collection.
-  MetricsRegistry* metrics = nullptr;
-  TraceBuffer* trace = nullptr;
-  /// Static join-order priors (chronolog_flow adornment analysis), forwarded
-  /// to the doubling detector's fixpoints via FixpointOptions::plan_priors.
-  /// Advisory only: plans never affect results. The progressive (exact
-  /// forward) path does not consume priors. Must outlive detection.
-  const JoinOrderPriors* plan_priors = nullptr;
-  /// When non-null, detection snapshots the executed join plans (of the
-  /// last fixpoint / the forward simulation) into `*plan_report` for
-  /// EXPLAIN; forwarded to FixpointOptions / ForwardOptions.
-  RulePlanReport* plan_report = nullptr;
 };
 
 /// Outcome of period detection: the minimal period of `M_{Z∧D}` and the
@@ -62,7 +48,8 @@ struct PeriodDetection {
 /// windows beyond the database horizon form a deterministic orbit, so the
 /// first repeated window yields the minimal period. Other programs fall
 /// back to *verified doubling*: compute the truncated least model on
-/// `[0...m]`, extract the minimal `(b, p)` consistent with that window,
+/// `[0...m]` (first `m = max(64, c + 4g + 4)` for the maximal temporal depth
+/// `g`), extract the minimal `(b, p)` consistent with that window,
 /// then re-verify on `[0...2m]` until the answer is stable with at least two
 /// full trailing cycles of slack.
 Result<PeriodDetection> DetectPeriod(

@@ -60,21 +60,32 @@ TEST(BtTest, ExactlyOneOfRangeHorizonRequired) {
 }
 
 TEST(BtTest, SemiNaiveAndNaiveAgree) {
+  // RunBt evaluates semi-naively; the reference oracle is the naive
+  // transcription of Figure 1's loop at the same bound.
   std::mt19937 rng(99);
   ParsedUnit unit = MustParse(workload::PathProgramSource() +
                               workload::RandomGraphFactsSource(5, 8, &rng));
   GroundAtom q = MustGround(unit, "path(4, n0, n1)");
-  BtOptions naive;
-  naive.range = 10;
-  naive.semi_naive = false;  // explicitly reach the reference oracle
-  BtOptions semi = naive;
-  semi.semi_naive = true;
-  auto r1 = RunBt(unit.program, unit.database, q, naive);
-  auto r2 = RunBt(unit.program, unit.database, q, semi);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1->answer, r2->answer);
-  EXPECT_TRUE(r1->model == r2->model);
+  BtOptions options;
+  options.range = 10;
+  auto result = RunBt(unit.program, unit.database, q, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  FixpointOptions fp;
+  fp.max_time = result->m;
+  auto naive = NaiveFixpoint(unit.program, unit.database, fp);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_EQ(result->answer, naive->Contains(q));
+  EXPECT_TRUE(result->model == *naive);
+}
+
+TEST(BtTest, BoundOverflowIsAnError) {
+  // max(c, h) + range past INT64_MAX must not wrap into a bound below h.
+  ParsedUnit unit = MustParse(workload::EvenSource());
+  BtOptions options;
+  options.range = 2;
+  auto result = RunBt(unit.program, unit.database,
+                      MustGround(unit, "even(9223372036854775806)"), options);
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(BtTest, PathReachabilityOnCycle) {

@@ -1,7 +1,6 @@
 // chronolog_flow tests: the SCC-ordered dataflow framework and its three
 // analyses (temporal offsets, polynomial degree, binding patterns), the
-// exported detection hints, the A-series diagnostics, and the join-order
-// prior hook on the RuleEvaluator plan cache.
+// exported detection hints and the A-series diagnostics.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +11,6 @@
 #include "analysis/dataflow.h"
 #include "analysis/depgraph.h"
 #include "ast/parser.h"
-#include "spec/specification.h"
-#include "storage/interpretation.h"
 #include "workload/generators.h"
 
 namespace chronolog {
@@ -269,20 +266,8 @@ TEST(FlowAdornTest, UnknownRootIsIgnoredWithoutPatterns) {
 }
 
 // --------------------------------------------------------------------------
-// Hints and detection seeding
+// Hints
 // --------------------------------------------------------------------------
-
-TEST(FlowHintsTest, SeedingOnlyRaisesTheInitialHorizon) {
-  FlowHints hints;
-  hints.initial_horizon = 100;
-  PeriodDetectionOptions options;  // default initial_horizon = 64
-  SeedPeriodOptions(hints, &options);
-  EXPECT_EQ(options.initial_horizon, 100);
-
-  hints.initial_horizon = 10;
-  SeedPeriodOptions(hints, &options);
-  EXPECT_EQ(options.initial_horizon, 100);  // never lowered
-}
 
 TEST(FlowHintsTest, HintIsClampedToTheConfiguredCap) {
   ParsedUnit unit = MustParse(R"(
@@ -294,90 +279,6 @@ TEST(FlowHintsTest, HintIsClampedToTheConfiguredCap) {
   FlowAnalysis analysis = Analyze(unit, options);
   EXPECT_TRUE(analysis.offsets.bounded);
   EXPECT_EQ(analysis.hints.initial_horizon, 4096);
-}
-
-// --------------------------------------------------------------------------
-// Join-order priors on the evaluator
-// --------------------------------------------------------------------------
-
-// Loads the skewed-join workload the way a semi-naive round sees it.
-void LoadSkewed(const ParsedUnit& unit, Interpretation* full,
-                Interpretation* delta) {
-  full->InsertDatabase(unit.database);
-  for (const GroundAtom& f : unit.database.facts()) {
-    if (unit.program.vocab().predicate(f.pred).is_temporal) {
-      delta->Insert(f);
-    }
-  }
-}
-
-TEST(FlowPriorTest, FirstPlanFollowsTheInstalledPrior) {
-  ParsedUnit unit = MustParse(workload::SkewedJoinSource(64));
-  ASSERT_EQ(unit.program.rules().size(), 1u);
-  Interpretation full(unit.program.vocab_ptr());
-  Interpretation delta(unit.program.vocab_ptr());
-  LoadSkewed(unit, &full, &delta);
-
-  const std::vector<uint32_t> prior = {2, 1, 0};
-  RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
-  ev.SetStaticOrderPrior(&prior);
-  ev.Evaluate(full, &delta, /*delta_pos=*/0, std::nullopt, nullptr,
-              [](GroundAtom&&) {});
-  EXPECT_EQ(ev.PlanOrderForTest(0, false), prior);
-}
-
-TEST(FlowPriorTest, InvalidPriorsAreIgnored) {
-  ParsedUnit unit = MustParse(workload::SkewedJoinSource(64));
-  Interpretation full(unit.program.vocab_ptr());
-  Interpretation delta(unit.program.vocab_ptr());
-  LoadSkewed(unit, &full, &delta);
-
-  const std::vector<uint32_t> wrong_size = {0, 1};
-  const std::vector<uint32_t> not_permutation = {0, 0, 1};
-  for (const std::vector<uint32_t>* bad : {&wrong_size, &not_permutation}) {
-    RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
-    ev.SetStaticOrderPrior(bad);
-    ev.Evaluate(full, &delta, /*delta_pos=*/0, std::nullopt, nullptr,
-                [](GroundAtom&&) {});
-    // Greedy planning on the skewed workload: delta, then the one-row
-    // narrow relation, then the fan-out (join_plan_test.cc).
-    EXPECT_EQ(ev.PlanOrderForTest(0, false),
-              (std::vector<uint32_t>{0, 2, 1}));
-  }
-}
-
-TEST(FlowPriorTest, AdversarialPriorsNeverChangeTheSpecification) {
-  ParsedUnit unit = MustParse(R"(
-    tok(0, a).
-    next(a, b).
-    next(b, c).
-    next(c, a).
-    tok(T+1, Y) :- tok(T, X), next(X, Y).
-  )");
-  Result<RelationalSpecification> baseline =
-      BuildSpecification(unit.program, unit.database);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-
-  // Reverse every multi-atom body: a deliberately bad prior must cost time
-  // at worst, never correctness.
-  JoinOrderPriors reversed(unit.program.rules().size());
-  for (std::size_t i = 0; i < unit.program.rules().size(); ++i) {
-    const std::size_t n = unit.program.rules()[i].body.size();
-    if (n < 2) continue;
-    for (std::size_t k = n; k > 0; --k) {
-      reversed[i].push_back(static_cast<uint32_t>(k - 1));
-    }
-  }
-  PeriodDetectionOptions options;
-  options.plan_priors = &reversed;
-  Result<RelationalSpecification> seeded =
-      BuildSpecification(unit.program, unit.database, options);
-  ASSERT_TRUE(seeded.ok()) << seeded.status();
-
-  EXPECT_EQ(baseline->period().b, seeded->period().b);
-  EXPECT_EQ(baseline->period().p, seeded->period().p);
-  EXPECT_EQ(baseline->c(), seeded->c());
-  EXPECT_TRUE(baseline->primary() == seeded->primary());
 }
 
 // --------------------------------------------------------------------------

@@ -77,6 +77,28 @@ TEST(EngineTest, AskBtWithExplicitRange) {
   EXPECT_TRUE(*answer);
 }
 
+TEST(EngineTest, AskBtFailsWhenTheBoundOverflows) {
+  // Ask rewrites the deep atom through the specification; AskBt's bound
+  // max(c, h) + range does not fit int64_t and must fail, not answer no.
+  TemporalDatabase tdd = MustEngine(workload::EvenSource());
+  auto via_spec = tdd.Ask("even(9223372036854775806)");
+  ASSERT_TRUE(via_spec.ok()) << via_spec.status();
+  EXPECT_TRUE(*via_spec);
+  EXPECT_EQ(tdd.AskBt("even(9223372036854775806)").status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(EngineTest, DoublingStartWindowOverflowIsExhaustion) {
+  // Non-progressive (backward rule) with c near INT64_MAX: the doubling
+  // detector's first window c + 4g + 4 overflows. A wrapped window would
+  // truncate the database fact away and answer p(3) "no".
+  auto tdd = TemporalDatabase::FromSource(
+      "p(9223372036854775805).\np(T) :- p(T+1).\n");
+  ASSERT_TRUE(tdd.ok()) << tdd.status();
+  EXPECT_EQ(tdd->Ask("p(3)").status().code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(EngineTest, QueryLimitsFlowThroughTheFacade) {
   TemporalDatabase tdd = MustEngine(R"(
     tick(0).

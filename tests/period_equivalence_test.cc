@@ -47,7 +47,7 @@ std::optional<ReferenceDetection> ReferenceDoubling(
     const PeriodDetectionOptions& options) {
   const int64_t c = db.MaxTemporalDepth();
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
-  int64_t m = std::max(options.initial_horizon, c + 4 * g + 4);
+  int64_t m = std::max<int64_t>(64, c + 4 * g + 4);
   bool have_candidate = false;
   int64_t prev_k = -1;
   int64_t prev_p = -1;

@@ -365,7 +365,6 @@ TEST_P(BtAgreement, BtMatchesSpecOnRandomAtoms) {
   ASSERT_TRUE(spec.ok()) << spec.status();
   BtOptions bt_options;
   bt_options.range = spec->num_representatives();
-  bt_options.semi_naive = true;
   std::mt19937 rng(GetParam());
   const Vocabulary& vocab = unit.program.vocab();
   for (int probe = 0; probe < 20; ++probe) {
