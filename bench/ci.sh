@@ -14,7 +14,8 @@
 # into response/slow-log/trace, a /statements scrape with exact shape
 # counts, an /explain rewrite cross-check, no-5xx assertion + clean
 # SIGINT shutdown), the perfbench smoke test (the BENCHMARK.json harness
-# builds and answers), an AddressSanitizer/UBSan build
+# builds and answers), a work-counter gate pinning the traced materialize
+# workload's evaluation counters, an AddressSanitizer/UBSan build
 # (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run, and a
 # ThreadSanitizer build running the serve, statements and metrics suites.
 #
@@ -107,6 +108,41 @@ fi
 # the benchmark build or its answers fails here rather than at bench time.
 echo "== perfbench smoke test =="
 python3 perfbench/smoke_test.py
+
+# Work-counter gate: the traced materialize workload (seed 7) must do
+# exactly the pinned amount of evaluation work. These counts are
+# machine-independent and do not depend on the run length, so they are
+# gated exactly where wall time cannot be. A change that alters the work
+# done (a new join order, a different fixpoint schedule) updates the pins
+# here and gives the reason in CHANGES.md.
+echo "== work-counter gate (traced materialize, seed 7) =="
+python3 perfbench/run.py --workload materialize --seed 7 --seconds 3 \
+  --trace 1 2>"$BUILD_DIR/counter_gate_build.log" | tail -n 1 \
+  >"$BUILD_DIR/counter_gate.json"
+python3 - "$BUILD_DIR/counter_gate.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    result = json.load(fh)
+assert result["correct"] and result["failed"] == 0, result
+metrics = {name: m["value"] for name, m in result["metrics"].items()}
+EXACT = {"eval.match_steps": 7385676,
+         "eval.derived": 5406462,
+         "eval.inserted": 1928996}
+AT_MOST = {"eval.allocs_per_derived": 0.6225}
+failures = []
+for name, pinned in EXACT.items():
+    if metrics.get(name) != pinned:
+        failures.append(f"{name} = {metrics.get(name)}, pinned {pinned}")
+for name, limit in AT_MOST.items():
+    if metrics.get(name) is None or metrics[name] > limit:
+        failures.append(f"{name} = {metrics.get(name)}, limit {limit}")
+if failures:
+    sys.exit("counter gate: " + "; ".join(failures))
+print("counter gate: " +
+      ", ".join(f"{name} = {metrics[name]}" for name in [*EXACT, *AT_MOST]))
+PY
 
 echo "== metrics liveness (metered spec-build pass) =="
 CHRONOLOG_METRICS_OUT="$BUILD_DIR/spec_metrics.json" \

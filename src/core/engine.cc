@@ -155,9 +155,7 @@ Result<QueryAnswer> TemporalDatabase::Query(std::string_view query_text,
   QueryEvalOptions eval_options;
   eval_options.metrics = metrics_.get();
   eval_options.trace = trace_.get();
-  if (limits.timeout.count() > 0) {
-    eval_options.deadline = std::chrono::steady_clock::now() + limits.timeout;
-  }
+  eval_options.deadline = DeadlineAfter(limits.timeout);
   eval_options.max_rows = limits.max_rows;
   return EvaluateQueryOverSpec(parsed, *spec, eval_options);
 }

@@ -11,14 +11,6 @@ namespace chronolog {
 
 namespace {
 
-/// Re-plan policy: a cached plan is rebuilt when its observed
-/// match-steps-per-emission exceeds `kReplanFactor` times the estimate,
-/// judged only after `replan_min_steps` observed steps (which doubles on
-/// every re-plan, so a rule that keeps drifting re-plans with backoff
-/// instead of thrashing).
-constexpr uint64_t kReplanMinSteps = 256;
-constexpr double kReplanFactor = 8.0;
-
 /// Mutable binding environment for one rule evaluation. VarIds index both
 /// arrays; the rule's sort table decides which one is live for a variable.
 struct Bindings {
@@ -76,20 +68,16 @@ struct RuleEvaluator::JoinPlan {
   };
   std::vector<Step> steps;
   double est_steps_per_emit = 0;
-  uint64_t replan_min_steps = kReplanMinSteps;
-  // Cumulative observations across evaluations, feeding the drift check in
-  // GetOrBuildPlan.
+  // Cumulative observations across evaluations, reported by ExportPlans.
   uint64_t observed_steps = 0;
   uint64_t observed_emits = 0;
 };
 
-/// Per-evaluator plan store: one plan per slot; a re-plan replaces its slot.
+/// Per-evaluator plan store: one plan per slot, built once.
 struct RuleEvaluator::PlanCache {
   std::vector<std::unique_ptr<JoinPlan>> slots;
   Counter* plans = nullptr;
   Counter* hits = nullptr;
-  Counter* replans = nullptr;
-  Counter* order_changed = nullptr;
   Histogram* est_hist = nullptr;
   Histogram* actual_hist = nullptr;
 
@@ -97,8 +85,6 @@ struct RuleEvaluator::PlanCache {
     if (metrics != nullptr) {
       plans = metrics->counter("join.plans");
       hits = metrics->counter("join.plan_cache_hits");
-      replans = metrics->counter("join.replans");
-      order_changed = metrics->counter("join.order_changed");
       est_hist = metrics->histogram("join.est_steps_per_emit");
       actual_hist = metrics->histogram("join.actual_steps_per_emit");
     }
@@ -227,37 +213,12 @@ RuleEvaluator::JoinPlan* RuleEvaluator::GetOrBuildPlan(
     bool time_bound) const {
   PlanCache& cache = *plans_;
   std::unique_ptr<JoinPlan>& slot = cache.slots[SlotKey(delta_pos, time_bound)];
-  if (slot == nullptr) {
-    slot = BuildPlan(full, delta, delta_pos, time_bound);
-    if (cache.plans != nullptr) cache.plans->Add();
-    if (cache.est_hist != nullptr) {
-      cache.est_hist->RecordValue(
-          static_cast<uint64_t>(slot->est_steps_per_emit));
-    }
+  if (slot != nullptr) {
+    if (cache.hits != nullptr) cache.hits->Add();
     return slot.get();
   }
-  if (cache.hits != nullptr) cache.hits->Add();
-
-  // Drift check: enough observation, and actual steps-per-emit far above
-  // the estimate, trigger a rebuild against current statistics.
-  const JoinPlan& plan = *slot;
-  if (plan.observed_steps < plan.replan_min_steps) return slot.get();
-  const double actual =
-      static_cast<double>(plan.observed_steps) /
-      static_cast<double>(std::max<uint64_t>(1, plan.observed_emits));
-  if (actual <= kReplanFactor * std::max(1.0, plan.est_steps_per_emit)) {
-    return slot.get();
-  }
-  std::unique_ptr<JoinPlan> fresh =
-      BuildPlan(full, delta, delta_pos, time_bound);
-  fresh->replan_min_steps = plan.replan_min_steps * 2;  // backoff
-  bool changed = fresh->steps.size() != plan.steps.size();
-  for (std::size_t i = 0; !changed && i < fresh->steps.size(); ++i) {
-    changed = fresh->steps[i].pos != plan.steps[i].pos;
-  }
-  slot = std::move(fresh);
-  if (cache.replans != nullptr) cache.replans->Add();
-  if (changed && cache.order_changed != nullptr) cache.order_changed->Add();
+  slot = BuildPlan(full, delta, delta_pos, time_bound);
+  if (cache.plans != nullptr) cache.plans->Add();
   if (cache.est_hist != nullptr) {
     cache.est_hist->RecordValue(
         static_cast<uint64_t>(slot->est_steps_per_emit));
@@ -431,11 +392,7 @@ void RuleEvaluator::Evaluate(
         }
         if (col >= 0) {
           const std::vector<uint32_t>* bucket =
-              temporal ? source.ProbeSnapshot(atom.pred, time,
-                                              static_cast<uint32_t>(col),
-                                              value)
-                       : source.ProbeNonTemporal(
-                             atom.pred, static_cast<uint32_t>(col), value);
+              rel.Probe(static_cast<std::size_t>(col), value);
           if (bucket != nullptr) {
             f->rel = &rel;
             f->bucket = bucket;

@@ -21,7 +21,7 @@ class TraceBuffer;
 /// `POST /explain`, tddsh `.explain ?-`). One report per built
 /// (delta position, time-bound) slot: the executed atom order, the planned
 /// probe columns (-1 = scan), and the estimated vs observed
-/// steps-per-emission that drive drift re-planning.
+/// steps-per-emission.
 struct PlanSlotReport {
   int delta_pos = -1;    // -1 = no delta restriction (naive / first round)
   bool time_bound = false;
@@ -101,20 +101,18 @@ struct EvalStats {
 /// Join planning: instead of matching body atoms in source order, the
 /// evaluator orders them by estimated selectivity (relation cardinalities
 /// plus sampled bound-column fan-outs) the first time a (delta position,
-/// time-bound) configuration is evaluated, and caches the resulting plan.
-/// When the observed match-steps-per-emission of a cached plan drifts far
-/// above its estimate, the plan is rebuilt against current statistics and
-/// replaces the cached one. Plans only fix the atom order and a suggested
-/// probe column; correctness never depends on the estimates.
+/// time-bound) configuration is evaluated, and caches the resulting plan
+/// for the evaluator's lifetime. Plans only fix the atom order and a
+/// suggested probe column; correctness never depends on the estimates.
 class RuleEvaluator {
  public:
   /// `rule` and `vocab` must outlive the evaluator. With `use_index` the
-  /// evaluator probes the interpretation's lazily built column indexes when
-  /// a body atom has a bound argument (hash join); without it every match
-  /// scans the relation (the nested-loop baseline of experiment E8).
-  /// `metrics` (nullable) receives the `join.*` instrument family: plan
-  /// builds, cache hits, re-plans, order changes, and the estimated vs
-  /// actual steps-per-emission histograms.
+  /// evaluator probes the relations' lazily built column indexes
+  /// (`Relation::Probe`) when a body atom has a bound argument (hash join);
+  /// without it every match scans the relation (the nested-loop baseline of
+  /// experiment E8). `metrics` (nullable) receives the `join.*` instrument
+  /// family: plan builds, cache hits, and the estimated vs actual
+  /// steps-per-emission histograms.
   RuleEvaluator(const Rule& rule, const Vocabulary& vocab,
                 bool use_index = true, MetricsRegistry* metrics = nullptr);
   ~RuleEvaluator();
@@ -147,9 +145,8 @@ class RuleEvaluator {
                                          bool time_bound) const;
 
   /// Appends one PlanSlotReport per built plan slot to `out` (built slots
-  /// only; an evaluator that never ran appends nothing). Snapshots the
-  /// *current* plan of each slot — the one the next evaluation would run —
-  /// with its cumulative observation counters.
+  /// only; an evaluator that never ran appends nothing), each with its
+  /// cumulative observation counters.
   void ExportPlans(std::vector<PlanSlotReport>* out) const;
 
  private:

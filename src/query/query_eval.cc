@@ -252,6 +252,20 @@ std::string QueryAnswer::ToString(const Vocabulary& vocab) const {
   return out;
 }
 
+std::optional<std::chrono::steady_clock::time_point> DeadlineAfter(
+    std::chrono::milliseconds timeout) {
+  using Clock = std::chrono::steady_clock;
+  if (timeout.count() <= 0) return std::nullopt;
+  const Clock::time_point now = Clock::now();
+  // Compare in milliseconds, where neither side can overflow; one
+  // millisecond of slack absorbs the truncation of the headroom.
+  const auto headroom =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          Clock::time_point::max() - now) -
+      std::chrono::milliseconds(1);
+  return timeout < headroom ? now + timeout : Clock::time_point::max();
+}
+
 Result<QueryAnswer> EvaluateQueryOverSpec(
     const Query& query, const RelationalSpecification& spec,
     const QueryEvalOptions& options) {

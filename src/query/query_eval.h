@@ -59,6 +59,14 @@ struct QueryLimits {
   uint64_t max_rows = 0;
 };
 
+/// The `QueryEvalOptions::deadline` for a `QueryLimits::timeout` starting
+/// now: unset when `timeout` is not positive (unlimited), else
+/// `now + timeout` saturated at the clock's maximum. A plain sum overflows
+/// once a huge timeout (e.g. 2^62 ms) converts to the clock's nanosecond
+/// duration, which would put the deadline in the past.
+std::optional<std::chrono::steady_clock::time_point> DeadlineAfter(
+    std::chrono::milliseconds timeout);
+
 /// One value of a query answer: a ground temporal term (representative) or a
 /// database constant.
 struct QueryValue {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -93,6 +94,49 @@ std::string RequestIdJson(const std::string& request_id) {
   return ",\"request_id\":\"" + JsonEscape(request_id) + "\"";
 }
 
+/// The fields POST /query and POST /explain share: the parsed JSON body
+/// (kept for endpoint-specific fields), its `query` text and the database
+/// it names (default "default"), resolved against the registry.
+struct StatementRequest {
+  JsonValue body;
+  std::string query;
+  std::string database = "default";
+  const DatabaseRegistry::Entry* entry = nullptr;
+};
+
+/// Decodes a statement request body into `*out`. On failure returns the
+/// error response: 400 for a malformed body, 404 for an unknown database.
+/// Every error body carries `id_json`, so failures correlate too.
+std::optional<HttpResponse> DecodeStatementRequest(
+    const HttpRequest& request, const DatabaseRegistry* registry,
+    const std::string& id_json, StatementRequest* out) {
+  Result<JsonValue> body = ParseJson(request.body);
+  if (!body.ok()) {
+    return JsonError(400, body.status().message(), id_json);
+  }
+  if (!body->is_object()) {
+    return JsonError(400, "request body must be a JSON object", id_json);
+  }
+  out->body = std::move(body).value();
+  const JsonValue* query = out->body.Find("query");
+  if (query == nullptr || !query->is_string()) {
+    return JsonError(400, "missing string field \"query\"", id_json);
+  }
+  out->query = query->string_value;
+  if (const JsonValue* db = out->body.Find("database"); db != nullptr) {
+    if (!db->is_string()) {
+      return JsonError(400, "\"database\" must be a string", id_json);
+    }
+    out->database = db->string_value;
+  }
+  out->entry = registry->Find(out->database);
+  if (out->entry == nullptr) {
+    return JsonError(404, "unknown database '" + out->database + "'",
+                     KnownDatabasesJson(registry) + id_json);
+  }
+  return std::nullopt;
+}
+
 /// HTTP status for a failed evaluation: client-side errors (a query the
 /// engine rejects by design, e.g. equality over a spec) map to 400,
 /// engine-side budget exhaustion to 503, anything else is a 500.
@@ -120,7 +164,10 @@ void RegisterQueryEndpoints(HttpServer& server,
 
   server.HandlePost("/query", [registry, options,
                                in_flight](const HttpRequest& request) {
-    // Admission control first: shedding load must stay O(1) even when the
+    const std::string request_id = EffectiveRequestId(request.request_id);
+    const std::string id_json = RequestIdJson(request_id);
+
+    // Admission control next: shedding load must stay O(1) even when the
     // pool is saturated with slow queries.
     if (options.max_in_flight > 0) {
       const int occupied =
@@ -132,7 +179,7 @@ void RegisterQueryEndpoints(HttpServer& server,
         }
         return JsonError(429, "too many queries in flight",
                          ",\"max_in_flight\":" +
-                             std::to_string(options.max_in_flight));
+                             std::to_string(options.max_in_flight) + id_json);
       }
     }
     struct Release {
@@ -143,40 +190,21 @@ void RegisterQueryEndpoints(HttpServer& server,
       }
     } release{in_flight.get(), options.max_in_flight > 0};
 
-    const std::string request_id = EffectiveRequestId(request.request_id);
-    const std::string id_json = RequestIdJson(request_id);
-
-    Result<JsonValue> body = ParseJson(request.body);
-    if (!body.ok()) {
-      return JsonError(400, body.status().message(), id_json);
+    StatementRequest decoded;
+    if (std::optional<HttpResponse> error =
+            DecodeStatementRequest(request, registry, id_json, &decoded)) {
+      return *std::move(error);
     }
-    if (!body->is_object()) {
-      return JsonError(400, "request body must be a JSON object");
-    }
-    const JsonValue* query_field = body->Find("query");
-    if (query_field == nullptr || !query_field->is_string()) {
-      return JsonError(400, "missing string field \"query\"");
-    }
-    std::string database = "default";
-    if (const JsonValue* db = body->Find("database"); db != nullptr) {
-      if (!db->is_string()) {
-        return JsonError(400, "\"database\" must be a string");
-      }
-      database = db->string_value;
-    }
-
-    const DatabaseRegistry::Entry* entry = registry->Find(database);
-    if (entry == nullptr) {
-      return JsonError(404, "unknown database '" + database + "'",
-                       KnownDatabasesJson(registry));
-    }
+    const std::string& database = decoded.database;
+    const DatabaseRegistry::Entry* entry = decoded.entry;
 
     // Per-query limits: the client can tighten the service defaults but
     // never exceed the configured caps.
     std::chrono::milliseconds timeout = options.default_timeout;
-    if (const JsonValue* v = body->Find("deadline_ms"); v != nullptr) {
+    if (const JsonValue* v = decoded.body.Find("deadline_ms"); v != nullptr) {
       if (!v->is_number() || !v->is_integer || v->int_value <= 0) {
-        return JsonError(400, "\"deadline_ms\" must be a positive integer");
+        return JsonError(400, "\"deadline_ms\" must be a positive integer",
+                         id_json);
       }
       timeout = std::chrono::milliseconds(v->int_value);
     }
@@ -185,9 +213,10 @@ void RegisterQueryEndpoints(HttpServer& server,
       timeout = options.max_timeout;
     }
     uint64_t max_rows = options.default_max_rows;
-    if (const JsonValue* v = body->Find("max_rows"); v != nullptr) {
+    if (const JsonValue* v = decoded.body.Find("max_rows"); v != nullptr) {
       if (!v->is_number() || !v->is_integer || v->int_value < 0) {
-        return JsonError(400, "\"max_rows\" must be a non-negative integer");
+        return JsonError(400, "\"max_rows\" must be a non-negative integer",
+                         id_json);
       }
       max_rows = static_cast<uint64_t>(v->int_value);
     }
@@ -198,7 +227,7 @@ void RegisterQueryEndpoints(HttpServer& server,
 
     const Vocabulary& vocab = entry->tdd.vocab();
     const auto parse_start = std::chrono::steady_clock::now();
-    Result<Query> parsed = ParseQuery(query_field->string_value, vocab);
+    Result<Query> parsed = ParseQuery(decoded.query, vocab);
     const auto parse_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - parse_start)
@@ -211,20 +240,9 @@ void RegisterQueryEndpoints(HttpServer& server,
     eval_options.metrics = entry->tdd.metrics();
     eval_options.trace = entry->tdd.trace();
     eval_options.request_id = request_id;
-    if (timeout.count() > 0) {
-      // Clamp before adding: a huge client deadline_ms (e.g. 2^62, legal
-      // when no max_timeout cap is configured) overflows `now + timeout`
-      // once the milliseconds convert to the clock's nanosecond duration,
-      // yielding a deadline in the past and a spuriously partial answer.
-      const auto now = std::chrono::steady_clock::now();
-      const auto headroom =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::time_point::max() - now) -
-          std::chrono::milliseconds(1);
-      eval_options.deadline =
-          timeout < headroom ? now + timeout
-                             : std::chrono::steady_clock::time_point::max();
-    }
+    // Saturating: a huge client deadline_ms (e.g. 2^62, legal when no
+    // max_timeout cap is configured) must not wrap into the past.
+    eval_options.deadline = DeadlineAfter(timeout);
     eval_options.max_rows = max_rows;
 
     // Snapshot the trace drop counter around the evaluation: an admitted
@@ -272,8 +290,7 @@ void RegisterQueryEndpoints(HttpServer& server,
     const bool slow = options.slow_query_ms >= 0 &&
                       eval_ms >= static_cast<double>(options.slow_query_ms);
     if (options.track_statements || slow) {
-      const std::string shape =
-          NormalizeQueryShape(query_field->string_value);
+      const std::string shape = NormalizeQueryShape(decoded.query);
       if (options.track_statements) {
         entry->statements->GetOrCreate(shape)->Record(
             answer->rows.size(), answer->partial, answer->truncated,
@@ -386,33 +403,17 @@ void RegisterQueryEndpoints(HttpServer& server,
   server.HandlePost("/explain", [registry](const HttpRequest& request) {
     const std::string request_id = EffectiveRequestId(request.request_id);
     const std::string id_json = RequestIdJson(request_id);
-    Result<JsonValue> body = ParseJson(request.body);
-    if (!body.ok()) {
-      return JsonError(400, body.status().message(), id_json);
+    StatementRequest decoded;
+    if (std::optional<HttpResponse> error =
+            DecodeStatementRequest(request, registry, id_json, &decoded)) {
+      return *std::move(error);
     }
-    if (!body->is_object()) {
-      return JsonError(400, "request body must be a JSON object", id_json);
-    }
-    const JsonValue* query_field = body->Find("query");
-    if (query_field == nullptr || !query_field->is_string()) {
-      return JsonError(400, "missing string field \"query\"", id_json);
-    }
-    std::string database = "default";
-    if (const JsonValue* db = body->Find("database"); db != nullptr) {
-      if (!db->is_string()) {
-        return JsonError(400, "\"database\" must be a string", id_json);
-      }
-      database = db->string_value;
-    }
-    const DatabaseRegistry::Entry* entry = registry->Find(database);
-    if (entry == nullptr) {
-      return JsonError(404, "unknown database '" + database + "'",
-                       KnownDatabasesJson(registry) + id_json);
-    }
+    const std::string& database = decoded.database;
+    const DatabaseRegistry::Entry* entry = decoded.entry;
     const Vocabulary& vocab = entry->tdd.vocab();
     // Parse to validate (same 400 contract as /query) — but never evaluate:
     // EXPLAIN answers from compiled artefacts only.
-    Result<Query> parsed = ParseQuery(query_field->string_value, vocab);
+    Result<Query> parsed = ParseQuery(decoded.query, vocab);
     if (!parsed.ok()) {
       return JsonError(400, parsed.status().ToString(), id_json);
     }
@@ -425,9 +426,9 @@ void RegisterQueryEndpoints(HttpServer& server,
     response.content_type = "application/json";
     std::string out = "{\"database\":\"" + JsonEscape(database) + "\"";
     out += id_json;
-    out += ",\"query\":\"" + JsonEscape(query_field->string_value) + "\"";
+    out += ",\"query\":\"" + JsonEscape(decoded.query) + "\"";
     out += ",\"shape\":\"" +
-           JsonEscape(NormalizeQueryShape(query_field->string_value)) + "\"";
+           JsonEscape(NormalizeQueryShape(decoded.query)) + "\"";
     out += ",\"executed\":false";
     // The rewrite rule W that answers any temporal term in this query:
     // lhs -> lhs - p applied to exhaustion (Prop. 3.1).

@@ -16,51 +16,12 @@ Interpretation::Interpretation(std::shared_ptr<Vocabulary> vocab)
   temporal_.resize(vocab_->num_predicates());
 }
 
-Interpretation::Interpretation(const Interpretation& other)
-    : vocab_(other.vocab_),
-      non_temporal_(other.non_temporal_),
-      temporal_(other.temporal_),
-      size_(other.size_),
-      snapshot_hashes_(other.snapshot_hashes_),
-      snapshot_hashing_(other.snapshot_hashing_) {}
-
-Interpretation& Interpretation::operator=(const Interpretation& other) {
-  if (this == &other) return *this;
-  vocab_ = other.vocab_;
-  non_temporal_ = other.non_temporal_;
-  temporal_ = other.temporal_;
-  size_ = other.size_;
-  snapshot_hashes_ = other.snapshot_hashes_;
-  snapshot_hashing_ = other.snapshot_hashing_;
-  nt_index_.clear();
-  t_index_.clear();
-  return *this;
-}
-
 void Interpretation::EnsurePred(PredicateId pred) {
   // The vocabulary may have grown since construction (e.g. normalization
   // introduces predicates); grow lazily.
   if (pred >= non_temporal_.size()) {
     non_temporal_.resize(vocab_->num_predicates());
     temporal_.resize(vocab_->num_predicates());
-  }
-}
-
-void Interpretation::IndexInsertedRow(PredicateId pred, bool temporal,
-                                      int64_t time, const Relation& rel,
-                                      uint32_t row) {
-  if (temporal) {
-    if (pred >= t_index_.size() || t_index_[pred].empty()) return;
-    auto snapshot = t_index_[pred].find(time);
-    if (snapshot == t_index_[pred].end()) return;
-    for (auto& [col, index] : snapshot->second) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  } else {
-    if (pred >= nt_index_.size() || nt_index_[pred].empty()) return;
-    for (auto& [col, index] : nt_index_[pred]) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
   }
 }
 
@@ -93,8 +54,6 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
     pair.h1 += Mix64(base) + 1;
     pair.h2 += Mix64b(base) + 1;
   }
-  IndexInsertedRow(pred, temporal, time, *rel,
-                   static_cast<uint32_t>(rel->size() - 1));
   return true;
 }
 
@@ -134,56 +93,6 @@ bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
 void Interpretation::DisableSnapshotHashing() {
   snapshot_hashing_ = false;
   snapshot_hashes_.clear();
-}
-
-const std::vector<uint32_t>* Interpretation::FindBucket(
-    const ColumnBuckets& index, const Relation& rel, SymbolId value) {
-  auto bucket = index.buckets.find(value);
-  if (bucket == index.buckets.end()) return nullptr;
-#ifndef NDEBUG
-  // Invalidation-contract check: every indexed row id must address a live
-  // row of the relation the bucket was built over.
-  for (uint32_t row : bucket->second) assert(row < rel.size());
-#else
-  (void)rel;
-#endif
-  return &bucket->second;
-}
-
-const std::vector<uint32_t>* Interpretation::ProbeNonTemporal(
-    PredicateId pred, uint32_t col, SymbolId value) const {
-  assert(!vocab_->predicate(pred).is_temporal);
-  if (pred >= non_temporal_.size()) return nullptr;
-  const Relation& rel = non_temporal_[pred];
-  if (nt_index_.size() < non_temporal_.size()) {
-    nt_index_.resize(non_temporal_.size());
-  }
-  auto [it, fresh] = nt_index_[pred].try_emplace(col);
-  ColumnBuckets& index = it->second;
-  if (fresh) {
-    for (uint32_t row = 0; row < rel.size(); ++row) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  }
-  return FindBucket(index, rel, value);
-}
-
-const std::vector<uint32_t>* Interpretation::ProbeSnapshot(
-    PredicateId pred, int64_t time, uint32_t col, SymbolId value) const {
-  assert(vocab_->predicate(pred).is_temporal);
-  if (pred >= temporal_.size()) return nullptr;
-  auto cell = temporal_[pred].find(time);
-  if (cell == temporal_[pred].end()) return nullptr;
-  const Relation& rel = cell->second;
-  if (t_index_.size() < temporal_.size()) t_index_.resize(temporal_.size());
-  auto [it, fresh] = t_index_[pred][time].try_emplace(col);
-  ColumnBuckets& index = it->second;
-  if (fresh) {
-    for (uint32_t row = 0; row < rel.size(); ++row) {
-      index.buckets[rel.at(row, col)].push_back(row);
-    }
-  }
-  return FindBucket(index, rel, value);
 }
 
 void Interpretation::InsertDatabase(const Database& db) {
@@ -261,12 +170,6 @@ void Interpretation::ForEach(
   }
 }
 
-Interpretation Interpretation::Truncate(int64_t m) const {
-  Interpretation out = *this;
-  out.TruncateInPlace(m);
-  return out;
-}
-
 void Interpretation::TruncateInPlace(int64_t m) {
   for (auto& timeline : temporal_) {
     auto it = timeline.upper_bound(m);
@@ -279,12 +182,6 @@ void Interpretation::TruncateInPlace(int64_t m) {
   // implicit default (0).
   for (auto it = snapshot_hashes_.begin(); it != snapshot_hashes_.end();) {
     it = it->first > m ? snapshot_hashes_.erase(it) : std::next(it);
-  }
-  // Snapshot indexes of the erased suffix address erased relations; indexes
-  // of surviving snapshots stay valid (row ids are positional and those
-  // relations are untouched).
-  for (auto& per_pred : t_index_) {
-    per_pred.erase(per_pred.upper_bound(m), per_pred.end());
   }
 }
 

@@ -29,14 +29,6 @@ class Interpretation {
  public:
   explicit Interpretation(std::shared_ptr<Vocabulary> vocab);
 
-  // Copies carry the facts but not the lazily built column indexes (a copy
-  // rebuilds its own on demand). Moves keep them: row ids are positional and
-  // the relations they index move along.
-  Interpretation(const Interpretation& other);
-  Interpretation& operator=(const Interpretation& other);
-  Interpretation(Interpretation&&) = default;
-  Interpretation& operator=(Interpretation&&) = default;
-
   const Vocabulary& vocab() const { return *vocab_; }
   const std::shared_ptr<Vocabulary>& vocab_ptr() const { return vocab_; }
 
@@ -108,11 +100,8 @@ class Interpretation {
   void ForEach(
       const std::function<void(PredicateId, int64_t, const Tuple&)>& fn) const;
 
-  /// Copy of this interpretation with every temporal fact at time > `m`
-  /// removed — the paper's `L'(0...m) ∪ L'_nt` truncation used by BT.
-  Interpretation Truncate(int64_t m) const;
-
-  /// Removes (in place) every temporal fact at time > `m`.
+  /// Removes (in place) every temporal fact at time > `m` — the paper's
+  /// `L'(0...m) ∪ L'_nt` truncation used by BT.
   void TruncateInPlace(int64_t m);
 
   /// True when both interpretations contain the same non-temporal facts.
@@ -126,31 +115,7 @@ class Interpretation {
 
   friend bool operator==(const Interpretation& a, const Interpretation& b);
 
-  /// Column-index probes for hash joins. Returns the row ids (into the
-  /// relation `NonTemporal(pred)` / `Snapshot(pred, time)`) of the tuples
-  /// whose column `col` equals `value`, or nullptr when there are none. The
-  /// index for a (pred, [time,] col) combination is built lazily on first
-  /// probe and maintained by subsequent inserts, so a probe, like an insert,
-  /// needs exclusive access.
-  ///
-  /// Invalidation contract: row ids are positional, so — unlike the tuple
-  /// pointers this API used to return — they survive further inserts and
-  /// moves of the interpretation. A returned bucket pointer stays valid
-  /// until the interpretation is copied over or truncated (both drop the
-  /// affected indexes); the bucket may grow while held. Debug builds assert
-  /// that every bucket's row ids lie inside the relation they index.
-  const std::vector<uint32_t>* ProbeNonTemporal(PredicateId pred, uint32_t col,
-                                                SymbolId value) const;
-  const std::vector<uint32_t>* ProbeSnapshot(PredicateId pred, int64_t time,
-                                             uint32_t col,
-                                             SymbolId value) const;
-
  private:
-  /// value -> row-id bucket map of one indexed column.
-  struct ColumnBuckets {
-    std::unordered_map<SymbolId, std::vector<uint32_t>> buckets;
-  };
-
   std::shared_ptr<Vocabulary> vocab_;
   // Indexed by PredicateId. Exactly one of the two slots is meaningful per
   // predicate; both are default-constructed for uniformity.
@@ -170,21 +135,7 @@ class Interpretation {
   std::unordered_map<int64_t, SnapshotHashPair> snapshot_hashes_;
   bool snapshot_hashing_ = true;
 
-  // Lazily built column indexes (see ProbeNonTemporal / ProbeSnapshot).
-  // The temporal index is keyed time-first so that an insert into snapshot
-  // `t` only touches the column indexes of `t` (a map lookup), never the
-  // entries of other snapshots, and so truncation can drop exactly the
-  // indexes of the truncated suffix.
-  mutable std::vector<std::map<uint32_t, ColumnBuckets>> nt_index_;
-  mutable std::vector<std::map<int64_t, std::map<uint32_t, ColumnBuckets>>>
-      t_index_;
-
   void EnsurePred(PredicateId pred);
-  void IndexInsertedRow(PredicateId pred, bool temporal, int64_t time,
-                        const Relation& rel, uint32_t row);
-  static const std::vector<uint32_t>* FindBucket(const ColumnBuckets& index,
-                                                 const Relation& rel,
-                                                 SymbolId value);
 };
 
 }  // namespace chronolog

@@ -124,6 +124,9 @@ bool Relation::Insert(const SymbolId* data, std::size_t n) {
   SetCtrl(insert_slot, TagOf(hash));
   slots_[insert_slot] = num_rows_;
   for (std::size_t c = 0; c < n; ++c) cols_[c].push_back(data[c]);
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    if (columns_[c].indexed) columns_[c].index[data[c]].push_back(num_rows_);
+  }
   ++num_rows_;
   return true;
 }
@@ -158,10 +161,16 @@ bool operator==(const Relation& a, const Relation& b) {
   return true;
 }
 
+Relation::ColumnSide& Relation::Side(std::size_t col) const {
+  if (columns_.size() < arity_) columns_.resize(arity_);
+  return columns_[col];
+}
+
 std::size_t Relation::DistinctInColumn(std::size_t col) const {
   if (num_rows_ == 0 || col >= arity_) return 1;
-  if (distinct_cache_.size() < arity_) distinct_cache_.resize(arity_, {0, 0});
-  auto& [rows_at, estimate] = distinct_cache_[col];
+  ColumnSide& side = Side(col);
+  uint32_t& rows_at = side.distinct_rows_at;
+  uint32_t& estimate = side.distinct_estimate;
   if (rows_at != 0 && num_rows_ <= 2 * static_cast<std::size_t>(rows_at)) {
     return estimate;
   }
@@ -190,6 +199,27 @@ std::size_t Relation::DistinctInColumn(std::size_t col) const {
   rows_at = num_rows_;
   estimate = static_cast<uint32_t>(result);
   return result;
+}
+
+const std::vector<uint32_t>* Relation::Probe(std::size_t col,
+                                             SymbolId value) const {
+  if (num_rows_ == 0) return nullptr;
+  assert(col < arity_);
+  ColumnSide& side = Side(col);
+  if (!side.indexed) {
+    side.indexed = true;
+    const std::vector<SymbolId>& column = cols_[col];
+    for (uint32_t row = 0; row < num_rows_; ++row) {
+      side.index[column[row]].push_back(row);
+    }
+  }
+  auto bucket = side.index.find(value);
+  if (bucket == side.index.end()) return nullptr;
+#ifndef NDEBUG
+  // Invalidation-contract check: every indexed row id addresses a live row.
+  for (uint32_t row : bucket->second) assert(row < num_rows_);
+#endif
+  return &bucket->second;
 }
 
 }  // namespace chronolog

@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "storage/tuple.h"
@@ -29,8 +29,13 @@ namespace chronolog {
 /// whole Relations). The arity is fixed by the first insert; a
 /// default-constructed relation accepts any arity once.
 ///
-/// Thread-safety: concurrent const access is safe except `DistinctInColumn`,
-/// which refreshes an internal statistics cache; it, like any write, needs
+/// Each column lazily grows a side table holding its sampled distinct count
+/// and its hash-join index (value -> row ids); both are built on first use
+/// and the index is kept up to date by `Insert`. Copies carry the side
+/// tables, so a copy answers probes from its own index.
+///
+/// Thread-safety: concurrent const access is safe except `DistinctInColumn`
+/// and `Probe`, which fill the side tables; they, like any write, need
 /// exclusive access.
 class Relation {
  public:
@@ -74,6 +79,15 @@ class Relation {
   /// bound-column fan-out estimates.
   std::size_t DistinctInColumn(std::size_t col) const;
 
+  /// Hash-join probe: the row ids of the rows whose column `col` equals
+  /// `value`, in insertion order, or nullptr when there are none. The
+  /// column's index is built on first probe and maintained by later
+  /// inserts. Row ids are positional, so a returned bucket stays valid
+  /// (and may grow) across inserts and moves of the relation; it dies with
+  /// the relation. Debug builds assert that every returned row id is
+  /// `< size()`.
+  const std::vector<uint32_t>* Probe(std::size_t col, SymbolId value) const;
+
  private:
   static constexpr std::size_t kGroup = 8;
   static constexpr uint8_t kEmpty = 0x80;  // tags use only the low 7 bits
@@ -107,8 +121,16 @@ class Relation {
   std::vector<uint32_t> slots_;
   std::size_t cap_ = 0;
 
-  // Per-column distinct-count cache: (rows when sampled, estimate).
-  mutable std::vector<std::pair<uint32_t, uint32_t>> distinct_cache_;
+  // Per-column side table, sized to the arity on the first DistinctInColumn
+  // or Probe call; empty for relations that are only scanned.
+  struct ColumnSide {
+    uint32_t distinct_rows_at = 0;  // rows when sampled; 0 = never sampled
+    uint32_t distinct_estimate = 0;
+    bool indexed = false;           // `index` is built and maintained
+    std::unordered_map<SymbolId, std::vector<uint32_t>> index;
+  };
+  ColumnSide& Side(std::size_t col) const;
+  mutable std::vector<ColumnSide> columns_;
 };
 
 }  // namespace chronolog

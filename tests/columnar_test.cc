@@ -147,7 +147,7 @@ TEST(ColumnarInterpretationTest, ProbeBucketsHoldRowIds) {
   interp.Insert(*e, 0, {a, b});
   interp.Insert(*e, 0, {a, c});
   interp.Insert(*e, 0, {b, c});
-  const std::vector<uint32_t>* bucket = interp.ProbeNonTemporal(*e, 0, a);
+  const std::vector<uint32_t>* bucket = interp.NonTemporal(*e).Probe(0, a);
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->size(), 2u);
   const Relation& rel = interp.NonTemporal(*e);
@@ -157,7 +157,7 @@ TEST(ColumnarInterpretationTest, ProbeBucketsHoldRowIds) {
   }
   // Row ids survive further inserts (positional, append-only).
   interp.Insert(*e, 0, {a, a});
-  EXPECT_EQ(interp.ProbeNonTemporal(*e, 0, a)->size(), 3u);
+  EXPECT_EQ(interp.NonTemporal(*e).Probe(0, a)->size(), 3u);
   EXPECT_EQ(rel.at((*bucket)[0], 0), a);
 }
 

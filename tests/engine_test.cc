@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+
 #include "core/engine.h"
 #include "workload/generators.h"
 
@@ -115,6 +118,21 @@ TEST(EngineTest, QueryLimitsFlowThroughTheFacade) {
   ASSERT_TRUE(full.ok());
   EXPECT_FALSE(full->truncated);
   EXPECT_GT(full->rows.size(), 3u);
+}
+
+// A timeout near the top of the millisecond range must saturate, not wrap
+// into a deadline in the past that cuts the evaluation short.
+TEST(EngineTest, HugeQueryTimeoutSaturates) {
+  TemporalDatabase tdd = MustEngine(R"(
+    p(0).
+    p(T+200) :- p(T).
+  )");
+  QueryLimits limits;
+  limits.timeout = std::chrono::milliseconds(int64_t{1} << 62);
+  auto answer = tdd.Query("forall T (p(T) or not p(T))", limits);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_FALSE(answer->partial);
+  EXPECT_TRUE(answer->boolean);
 }
 
 TEST(EngineTest, QueryOnUnknownPredicateFails) {

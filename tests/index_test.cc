@@ -1,5 +1,6 @@
-// Column-index probes of Interpretation and their interaction with the
-// rule evaluator (hash joins vs the nested-loop baseline).
+// Column-index probes of the relations of an Interpretation and their
+// interaction with the rule evaluator (hash joins vs the nested-loop
+// baseline).
 
 #include <gtest/gtest.h>
 
@@ -41,27 +42,27 @@ TEST_F(IndexTest, NonTemporalProbeFindsBuckets) {
   interp.Insert(e_, 0, {a_, b_});
   interp.Insert(e_, 0, {a_, c_});
   interp.Insert(e_, 0, {b_, c_});
-  const auto* bucket = interp.ProbeNonTemporal(e_, 0, a_);
+  const auto* bucket = interp.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 2u);
-  const auto* col1 = interp.ProbeNonTemporal(e_, 1, c_);
+  const auto* col1 = interp.NonTemporal(e_).Probe(1, c_);
   ASSERT_NE(col1, nullptr);
   EXPECT_EQ(col1->size(), 2u);
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, c_), nullptr);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, c_), nullptr);
 }
 
 TEST_F(IndexTest, IndexIsMaintainedAcrossInserts) {
   Interpretation interp(vocab_);
   interp.Insert(e_, 0, {a_, b_});
   // Build the index first...
-  ASSERT_NE(interp.ProbeNonTemporal(e_, 0, a_), nullptr);
+  ASSERT_NE(interp.NonTemporal(e_).Probe(0, a_), nullptr);
   // ...then keep inserting: the bucket must grow.
   interp.Insert(e_, 0, {a_, c_});
   interp.Insert(e_, 0, {b_, b_});
-  const auto* bucket = interp.ProbeNonTemporal(e_, 0, a_);
+  const auto* bucket = interp.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 2u);
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, b_)->size(), 1u);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, b_)->size(), 1u);
 }
 
 TEST_F(IndexTest, SnapshotProbe) {
@@ -69,48 +70,48 @@ TEST_F(IndexTest, SnapshotProbe) {
   interp.Insert(p_, 3, {a_});
   interp.Insert(p_, 3, {b_});
   interp.Insert(p_, 5, {a_});
-  const auto* bucket = interp.ProbeSnapshot(p_, 3, 0, a_);
+  const auto* bucket = interp.Snapshot(p_, 3).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 1u);
   // Buckets hold row ids into the probed snapshot's relation.
   EXPECT_EQ(interp.Snapshot(p_, 3).at((*bucket)[0], 0), a_);
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 4, 0, a_), nullptr);  // empty snapshot
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 3, 0, c_), nullptr);  // empty bucket
+  EXPECT_EQ(interp.Snapshot(p_, 4).Probe(0, a_), nullptr);  // empty snapshot
+  EXPECT_EQ(interp.Snapshot(p_, 3).Probe(0, c_), nullptr);  // empty bucket
 }
 
 TEST_F(IndexTest, SnapshotIndexMaintainedAcrossInserts) {
   Interpretation interp(vocab_);
   interp.Insert(p_, 1, {a_});
-  ASSERT_NE(interp.ProbeSnapshot(p_, 1, 0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 1).Probe(0, a_), nullptr);
   interp.Insert(p_, 1, {a_});  // duplicate: no growth
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 1, 0, a_)->size(), 1u);
+  EXPECT_EQ(interp.Snapshot(p_, 1).Probe(0, a_)->size(), 1u);
   interp.Insert(p_, 1, {b_});
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 1, 0, b_)->size(), 1u);
+  EXPECT_EQ(interp.Snapshot(p_, 1).Probe(0, b_)->size(), 1u);
 }
 
-TEST_F(IndexTest, CopyDropsIndexSafely) {
+TEST_F(IndexTest, CopyCarriesAnIndependentIndex) {
   Interpretation interp(vocab_);
   interp.Insert(e_, 0, {a_, b_});
-  ASSERT_NE(interp.ProbeNonTemporal(e_, 0, a_), nullptr);
+  ASSERT_NE(interp.NonTemporal(e_).Probe(0, a_), nullptr);
   Interpretation copy = interp;
-  // The copy rebuilds its own index on demand and sees the same facts.
-  const auto* bucket = copy.ProbeNonTemporal(e_, 0, a_);
+  // The copy carries its own index and sees the same facts.
+  const auto* bucket = copy.NonTemporal(e_).Probe(0, a_);
   ASSERT_NE(bucket, nullptr);
   EXPECT_EQ(bucket->size(), 1u);
   // Inserting into the copy must not disturb the original.
   copy.Insert(e_, 0, {a_, c_});
-  EXPECT_EQ(interp.ProbeNonTemporal(e_, 0, a_)->size(), 1u);
-  EXPECT_EQ(copy.ProbeNonTemporal(e_, 0, a_)->size(), 2u);
+  EXPECT_EQ(interp.NonTemporal(e_).Probe(0, a_)->size(), 1u);
+  EXPECT_EQ(copy.NonTemporal(e_).Probe(0, a_)->size(), 2u);
 }
 
 TEST_F(IndexTest, TruncateInvalidatesSnapshotIndex) {
   Interpretation interp(vocab_);
   interp.Insert(p_, 1, {a_});
   interp.Insert(p_, 9, {a_});
-  ASSERT_NE(interp.ProbeSnapshot(p_, 9, 0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 9).Probe(0, a_), nullptr);
   interp.TruncateInPlace(5);
-  EXPECT_EQ(interp.ProbeSnapshot(p_, 9, 0, a_), nullptr);
-  ASSERT_NE(interp.ProbeSnapshot(p_, 1, 0, a_), nullptr);
+  EXPECT_EQ(interp.Snapshot(p_, 9).Probe(0, a_), nullptr);
+  ASSERT_NE(interp.Snapshot(p_, 1).Probe(0, a_), nullptr);
 }
 
 // The ablation invariant: fixpoints with and without the index produce the

@@ -1062,10 +1062,12 @@ TEST(QueryEndpointParallelTest, FloodShedsWith429) {
   constexpr int kClients = 6;
   std::atomic<int> ok{0};
   std::atomic<int> rejected{0};
+  std::atomic<int> rejected_with_id{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&ok, &rejected, port = server.port()] {
+    clients.emplace_back([&ok, &rejected, &rejected_with_id,
+                          port = server.port()] {
       const std::string response = Post(
           port, "/query",
           R"j({"query":"forall T (forall S (tick(S) | ~tick(S) | tick(T)))"})j");
@@ -1073,6 +1075,9 @@ TEST(QueryEndpointParallelTest, FloodShedsWith429) {
         ok.fetch_add(1, std::memory_order_relaxed);
       } else if (response.find("HTTP/1.1 429") != std::string::npos) {
         rejected.fetch_add(1, std::memory_order_relaxed);
+        if (response.find("\"request_id\":\"q-") != std::string::npos) {
+          rejected_with_id.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
@@ -1082,6 +1087,7 @@ TEST(QueryEndpointParallelTest, FloodShedsWith429) {
   EXPECT_EQ(ok.load() + rejected.load(), kClients);
   EXPECT_GE(ok.load(), 1);
   EXPECT_GE(rejected.load(), 1);
+  EXPECT_EQ(rejected_with_id.load(), rejected.load());  // 429s carry the id
   EXPECT_EQ(metrics.counter("query.rejected")->value(),
             static_cast<uint64_t>(rejected.load()));
 }

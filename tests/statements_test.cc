@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "query/query_shape.h"
@@ -389,6 +390,24 @@ TEST_F(StatementEndpointTest, RequestIdRoundTripsIntoResponses) {
       port, "/query", R"j({"query":"no_such(T)"})j", "gate-78")));
   ASSERT_TRUE(failed.ok());
   EXPECT_EQ(failed->Find("request_id")->string_value, "gate-78");
+  // So do the body-decoding failures and the unknown-database 404.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"[1]", "HTTP/1.1 400"},
+      {R"j({"no_query":1})j", "HTTP/1.1 400"},
+      {R"j({"query":"tick(0)","database":7})j", "HTTP/1.1 400"},
+      {R"j({"query":"tick(0)","database":"nope"})j", "HTTP/1.1 404"},
+      {R"j({"query":"tick(0)","deadline_ms":-1})j", "HTTP/1.1 400"},
+      {R"j({"query":"tick(0)","max_rows":"x"})j", "HTTP/1.1 400"},
+  };
+  for (const auto& [body, status] : rejected) {
+    SCOPED_TRACE(body);
+    const std::string response = Post(port, "/query", body, "gate-79");
+    EXPECT_EQ(response.rfind(status, 0), 0u) << response;
+    auto error = ParseJson(Body(response));
+    ASSERT_TRUE(error.ok()) << error.status();
+    ASSERT_NE(error->Find("request_id"), nullptr) << response;
+    EXPECT_EQ(error->Find("request_id")->string_value, "gate-79");
+  }
 }
 
 TEST_F(StatementEndpointTest, ExplainReportsPlanWithoutExecuting) {

@@ -73,7 +73,8 @@ TEST_F(StorageTest, TruncateDropsBeyondBound) {
   interp.Insert(P(0, a_));
   interp.Insert(P(7, a_));
   interp.Insert(E(a_, b_));
-  Interpretation cut = interp.Truncate(3);
+  Interpretation cut = interp;
+  cut.TruncateInPlace(3);
   EXPECT_TRUE(cut.Contains(P(0, a_)));
   EXPECT_FALSE(cut.Contains(P(7, a_)));
   EXPECT_TRUE(cut.Contains(E(a_, b_)));  // non-temporal part survives
