@@ -124,11 +124,8 @@ Status RunSemiNaiveRounds(const Program& program,
 
     // Derivations are buffered into `next_delta` and merged into `full`
     // after the round: inserting into `full` mid-evaluation would invalidate
-    // the tuple-set iterators the rule evaluator is walking. Scratch buffers
-    // never serve SnapshotHash queries, so they skip hash maintenance; only
-    // `full` — the interpretation callers keep — pays for it.
+    // the tuple-set iterators the rule evaluator is walking.
     Interpretation next_delta(program.vocab_ptr());
-    next_delta.DisableSnapshotHashing();
     bool overflow = false;
     // With a registry attached every round is timed — metered runs want the
     // small rounds in the histogram.
@@ -280,7 +277,6 @@ Result<Interpretation> SemiNaiveFixpoint(const Program& program,
   if (stats == nullptr) stats = &local_stats;
   Interpretation full(program.vocab_ptr());
   Interpretation delta(program.vocab_ptr());
-  delta.DisableSnapshotHashing();
   SeedDatabase(program.vocab(), db, options.max_time, full, &delta, stats);
   Status status =
       RunSemiNaiveRounds(program, options, stats, full, std::move(delta));
@@ -308,7 +304,6 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
 
   Interpretation full = std::move(prior);
   Interpretation delta(program.vocab_ptr());
-  delta.DisableSnapshotHashing();
 
   // (a) Database facts the old bound truncated away.
   SeedDatabase(vocab, db, options.max_time, full, &delta, stats);

@@ -160,10 +160,10 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   }
 
   // Window detection: start times of previously seen windows of g states,
-  // bucketed by window hash. Per-state hashes are read in O(1) from the
-  // model's incrementally maintained snapshot hashes — no State is ever
-  // extracted during simulation; candidates with equal window hashes are
-  // verified against the live snapshots directly.
+  // bucketed by window hash. Each state is hashed once, when its timestep
+  // closes (Interpretation::SnapshotHash), and cached here — no State is
+  // ever extracted during simulation; candidates with equal window hashes
+  // are verified against the live snapshots directly.
   std::vector<std::size_t> state_hashes;
   std::unordered_map<std::size_t, std::vector<int64_t>> seen_windows;
   auto window_hash = [&](int64_t s) {

@@ -63,7 +63,7 @@ struct ForwardResult {
   int64_t c = 0;
   /// Last timestep materialised (>= b + c + 2p - 1, enough for a
   /// relational specification). Per-time states are not materialised — the
-  /// simulator reads the model's incrementally maintained snapshot hashes;
+  /// simulator hashes each new state once and compares snapshots in place;
   /// callers that want explicit states use ExtractStates(model, 0, horizon).
   int64_t horizon = 0;
   EvalStats stats;

@@ -64,10 +64,10 @@ struct EvalContext {
 ///
 /// The `*_ms` fields are per-phase wall-clock timers maintained by the
 /// fixpoint drivers: `derive_ms` covers rule evaluation, `merge_ms` covers
-/// folding the round delta into the full model, `extract_ms` covers per-time
-/// state extraction during period detection. `min_new_time` is the smallest
-/// time point that gained a temporal fact (INT64_MAX when none did) — the
-/// staleness bound consumed by the incremental horizon-extension loop.
+/// folding the round delta into the full model. `min_new_time` is the
+/// smallest time point that gained a temporal fact (INT64_MAX when none
+/// did) — the staleness bound consumed by the incremental horizon-extension
+/// loop.
 struct EvalStats {
   uint64_t derived = 0;
   uint64_t inserted = 0;
@@ -75,7 +75,6 @@ struct EvalStats {
   uint64_t iterations = 0;
   double derive_ms = 0;
   double merge_ms = 0;
-  double extract_ms = 0;
   int64_t min_new_time = std::numeric_limits<int64_t>::max();
 
   void Add(const EvalStats& other) {
@@ -85,7 +84,6 @@ struct EvalStats {
     iterations += other.iterations;
     derive_ms += other.derive_ms;
     merge_ms += other.merge_ms;
-    extract_ms += other.extract_ms;
     min_new_time = std::min(min_new_time, other.min_new_time);
   }
 };

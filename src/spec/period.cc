@@ -1,7 +1,6 @@
 #include "spec/period.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "eval/fixpoint.h"
@@ -167,10 +166,10 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
       }
     }
     {
-      // What remains of the old extraction phase: an O(changed suffix)
-      // refresh of cached hash words.
+      // Hash the states of the changed suffix only; earlier hashes are
+      // cached in the tracker.
       TraceSpan update_span(options.trace, "period.update");
-      PhaseTimer update_timer(/*enabled=*/true, &round_stats.extract_ms,
+      PhaseTimer update_timer(metrics != nullptr, /*field=*/nullptr,
                               update_hist);
       tracker.Update(model, m, changed_from);
     }
@@ -240,11 +239,6 @@ Result<PeriodDetection> DetectPeriod(const Program& program,
                            /*exact=*/true,
                            forward.stats};
     return result;
-  }
-  if (!options.allow_general) {
-    return FailedPreconditionError(
-        "DetectPeriod: program is not progressive (" + progressive.reason +
-        ") and the verified-doubling fallback is disabled");
   }
   return DetectByDoubling(program, db, options, c);
 }

@@ -20,16 +20,13 @@ struct PeriodDetectionOptions : EvalContext {
   /// Hard ceiling for both detectors; exceeded => kResourceExhausted
   /// (periods can be exponential in the database size, Theorem 3.1).
   int64_t max_horizon = 1 << 20;
-  /// Permit the verified-doubling fallback for non-progressive programs.
-  /// When false, non-progressive programs fail with kFailedPrecondition.
-  bool allow_general = true;
 };
 
 /// Outcome of period detection: the minimal period of `M_{Z∧D}` and the
 /// least model materialised far enough to build a relational specification.
-/// Per-time states are not materialised (detection runs on the model's
-/// incrementally maintained snapshot hashes); callers that want them use
-/// ExtractStates(model, 0, horizon).
+/// Per-time states are not materialised (detection reads the model's
+/// snapshot hashes and compares snapshots in place); callers that want them
+/// use ExtractStates(model, 0, horizon).
 struct PeriodDetection {
   Period period;
   int64_t c = 0;        // max temporal depth of the database

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
 #include "ast/parser.h"
 #include "ast/printer.h"
@@ -65,6 +66,13 @@ Result<RelationalSpecification> DeserializeSpecification(
   if (b < 0 || p <= 0 || c < 0) {
     return InvalidArgumentError("missing or invalid %!period header");
   }
+  // |T| = b + c + p must be representable: every rewrite and lookup of the
+  // specification computes it.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  if (b > kMax - c || b + c > kMax - p) {
+    return InvalidArgumentError("%!period header overflows b + c + p");
+  }
+  const int64_t num_representatives = b + c + p;
 
   CHRONOLOG_ASSIGN_OR_RETURN(ParsedUnit unit, Parser::Parse(text));
   if (!unit.program.rules().empty()) {
@@ -73,6 +81,13 @@ Result<RelationalSpecification> DeserializeSpecification(
   }
   Interpretation primary(unit.database.vocab_ptr());
   primary.InsertDatabase(unit.database);
+  // B holds facts at representative times 0 .. b+c+p-1 only.
+  if (primary.MaxTime() >= num_representatives) {
+    return InvalidArgumentError(
+        "fact at time " + std::to_string(primary.MaxTime()) +
+        " lies beyond the representative terms 0.." +
+        std::to_string(num_representatives - 1));
+  }
   return RelationalSpecification(Period{b, p}, c, std::move(primary));
 }
 

@@ -36,9 +36,8 @@ bool Interpretation::Insert(PredicateId pred, int64_t time, const Tuple& args) {
 bool Interpretation::Insert(PredicateId pred, int64_t time,
                             const SymbolId* args, std::size_t n) {
   EnsurePred(pred);
-  const bool temporal = vocab_->predicate(pred).is_temporal;
   Relation* rel;
-  if (temporal) {
+  if (vocab_->predicate(pred).is_temporal) {
     assert(time >= 0);
     rel = &temporal_[pred][time];
   } else {
@@ -46,40 +45,33 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
   }
   if (!rel->Insert(args, n)) return false;
   ++size_;
-  if (temporal && snapshot_hashing_) {
-    // `+ 1` carries the fact-count term of State::Hash / Hash2; both
-    // families finalize the same inner hash, computed once.
-    const std::size_t base = FactHashBase(pred, args, n);
-    SnapshotHashPair& pair = snapshot_hashes_[time];
-    pair.h1 += Mix64(base) + 1;
-    pair.h2 += Mix64b(base) + 1;
-  }
   return true;
 }
 
 std::size_t Interpretation::SnapshotHash(int64_t time) const {
-  assert(snapshot_hashing_);
-  auto it = snapshot_hashes_.find(time);
-  return it == snapshot_hashes_.end() ? 0 : it->second.h1;
-}
-
-std::size_t Interpretation::SnapshotHash2(int64_t time) const {
-  assert(snapshot_hashing_);
-  auto it = snapshot_hashes_.find(time);
-  return it == snapshot_hashes_.end() ? 0 : it->second.h2;
+  std::size_t hash = 0;
+  for (std::size_t p = 0; p < temporal_.size(); ++p) {
+    const auto& timeline = temporal_[p];
+    if (timeline.empty()) continue;
+    // The forward detector hashes the newest time, so try the last cell
+    // before the O(log n) lookup.
+    auto it = std::prev(timeline.end());
+    if (it->first != time) {
+      it = timeline.find(time);
+      if (it == timeline.end()) continue;
+    }
+    const Relation& rel = it->second;
+    for (uint32_t row = 0; row < rel.size(); ++row) {
+      auto arg = [&](std::size_t col) { return rel.at(row, col); };
+      // `+ 1` per fact carries the fact-count term of State::Hash.
+      hash += FactHash(p, rel.arity(), arg) + 1;
+    }
+  }
+  return hash;
 }
 
 bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
   if (t1 == t2) return true;
-  if (snapshot_hashing_) {
-    auto i1 = snapshot_hashes_.find(t1);
-    auto i2 = snapshot_hashes_.find(t2);
-    const SnapshotHashPair a =
-        i1 == snapshot_hashes_.end() ? SnapshotHashPair{} : i1->second;
-    const SnapshotHashPair b =
-        i2 == snapshot_hashes_.end() ? SnapshotHashPair{} : i2->second;
-    if (a.h1 != b.h1 || a.h2 != b.h2) return false;
-  }
   for (const auto& timeline : temporal_) {
     auto i1 = timeline.find(t1);
     auto i2 = timeline.find(t2);
@@ -88,11 +80,6 @@ bool Interpretation::SnapshotEquals(int64_t t1, int64_t t2) const {
     if (a != b) return false;
   }
   return true;
-}
-
-void Interpretation::DisableSnapshotHashing() {
-  snapshot_hashing_ = false;
-  snapshot_hashes_.clear();
 }
 
 void Interpretation::InsertDatabase(const Database& db) {
@@ -177,11 +164,6 @@ void Interpretation::TruncateInPlace(int64_t m) {
       size_ -= it->second.size();
       it = timeline.erase(it);
     }
-  }
-  // Truncated snapshots revert to the empty state, whose hash is the map's
-  // implicit default (0).
-  for (auto it = snapshot_hashes_.begin(); it != snapshot_hashes_.end();) {
-    it = it->first > m ? snapshot_hashes_.erase(it) : std::next(it);
   }
 }
 

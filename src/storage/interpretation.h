@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/atom.h"
@@ -64,34 +63,18 @@ class Interpretation {
   /// Largest time point carrying any temporal fact; -1 when none.
   int64_t MaxTime() const;
 
-  /// O(1) content hash of the state `M[time]` (the snapshot with the
-  /// temporal argument projected out), maintained incrementally on every
-  /// insert: equals `State::FromInterpretation(*this, time).Hash()` without
+  /// Content hash of the state `M[time]` (the snapshot with the temporal
+  /// argument projected out), computed on demand from the cells at `time`:
+  /// equals `State::FromInterpretation(*this, time).Hash()` without
   /// materialising the state. Empty snapshots hash to 0. Equal hashes do not
-  /// prove equal states — verify collisions with SnapshotEquals.
+  /// prove equal states — verify collisions with SnapshotEquals. Only the
+  /// period detectors call this; nothing is maintained per insert.
   std::size_t SnapshotHash(int64_t time) const;
-
-  /// Second, independently finalized content hash of `M[time]` (see
-  /// FactHash2), maintained in the same map entry as SnapshotHash so one
-  /// insert updates both with a single lookup: equals
-  /// `State::FromInterpretation(*this, time).Hash2()`.
-  std::size_t SnapshotHash2(int64_t time) const;
 
   /// Exact comparison of the states `M[t1]` and `M[t2]`, in place (no State
   /// materialisation) — the hash-collision verification step of the period
-  /// detectors. When snapshot hashing is enabled the walk is prefiltered by
-  /// the (SnapshotHash, SnapshotHash2) pairs: any disagreement proves the
-  /// states differ, so the exact per-timeline comparison only runs when
-  /// both hash families agree.
+  /// detectors, whose callers have already compared SnapshotHash.
   bool SnapshotEquals(int64_t t1, int64_t t2) const;
-
-  /// Turns off snapshot-hash maintenance for this instance. For scratch
-  /// interpretations (semi-naive deltas and derivation buffers) that
-  /// are only enumerated and merged, never queried through SnapshotHash:
-  /// skipping the per-insert hash update keeps the hot derivation path free
-  /// of the bookkeeping. Irreversible; copies inherit the setting;
-  /// SnapshotHash must not be called afterwards (asserts).
-  void DisableSnapshotHashing();
 
   /// Enumerates every stored fact. `fn` receives (pred, time, tuple); `time`
   /// is 0 for non-temporal predicates. The Tuple reference points at a
@@ -122,18 +105,6 @@ class Interpretation {
   std::vector<Relation> non_temporal_;
   std::vector<std::map<int64_t, Relation>> temporal_;
   std::size_t size_ = 0;
-
-  // Per-timestep state hashes: snapshot_hashes_[t] ==
-  // {State::FromInterpretation(*this, t).Hash(), ...Hash2()}. Each combine is
-  // a commutative sum of finalized per-fact hashes plus the fact count, so
-  // one insert is two O(1) `+=`s over one shared inner hash, and absent
-  // entries mean the empty-state hash pair (0, 0).
-  struct SnapshotHashPair {
-    std::size_t h1 = 0;
-    std::size_t h2 = 0;
-  };
-  std::unordered_map<int64_t, SnapshotHashPair> snapshot_hashes_;
-  bool snapshot_hashing_ = true;
 
   void EnsurePred(PredicateId pred);
 };

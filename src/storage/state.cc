@@ -24,12 +24,6 @@ std::size_t State::Hash() const {
   return hash;
 }
 
-std::size_t State::Hash2() const {
-  std::size_t hash = facts_.size();
-  for (const auto& [pred, tuple] : facts_) hash += FactHash2(pred, tuple);
-  return hash;
-}
-
 std::vector<State> ExtractStates(const Interpretation& interp, int64_t from,
                                  int64_t to) {
   std::vector<State> states;
@@ -38,30 +32,6 @@ std::vector<State> ExtractStates(const Interpretation& interp, int64_t from,
     states.push_back(State::FromInterpretation(interp, t));
   }
   return states;
-}
-
-StateWindow StateWindow::FromInterpretation(const Interpretation& interp,
-                                            int64_t t, int64_t width) {
-  StateWindow window;
-  window.states_.reserve(static_cast<std::size_t>(width));
-  for (int64_t i = 0; i < width; ++i) {
-    window.states_.push_back(State::FromInterpretation(interp, t + i));
-  }
-  return window;
-}
-
-StateWindow StateWindow::FromStates(const std::vector<State>& states,
-                                    std::size_t start, std::size_t width) {
-  StateWindow window;
-  window.states_.assign(states.begin() + start,
-                        states.begin() + start + width);
-  return window;
-}
-
-std::size_t StateWindow::Hash() const {
-  std::size_t seed = states_.size();
-  for (const State& s : states_) HashCombine(seed, s.Hash());
-  return seed;
 }
 
 }  // namespace chronolog

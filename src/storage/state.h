@@ -30,18 +30,10 @@ class State {
     return facts_;
   }
 
-  /// Order-independent content hash: `size + Σ FactHash(pred, tuple)`. The
-  /// combine is commutative so that `Interpretation::SnapshotHash(t)` can
-  /// maintain the exact same value incrementally, one fact at a time, without
-  /// ever materialising the state.
+  /// Order-independent content hash: `size + Σ FactHash(pred, tuple)` — the
+  /// from-scratch reference for `Interpretation::SnapshotHash(t)`, which sums
+  /// the same per-fact values straight from the cells at `t`.
   std::size_t Hash() const;
-
-  /// Companion hash under the second finalizer:
-  /// `size + Σ FactHash2(pred, tuple)`. Mirrors
-  /// `Interpretation::SnapshotHash2(t)` exactly as Hash mirrors SnapshotHash;
-  /// the pair (Hash, Hash2) agreeing makes an undetected state collision
-  /// require two simultaneous 64-bit coincidences.
-  std::size_t Hash2() const;
 
   friend bool operator==(const State& a, const State& b) {
     return a.facts_ == b.facts_;
@@ -52,49 +44,12 @@ class State {
   std::vector<std::pair<PredicateId, Tuple>> facts_;
 };
 
-struct StateHash {
-  std::size_t operator()(const State& s) const { return s.Hash(); }
-};
-
-/// Materialises `M[from], ..., M[to]` from an interpretation. Detection no
-/// longer needs eagerly extracted state vectors (it reads the incrementally
-/// maintained snapshot hashes); this helper serves callers that still want
+/// Materialises `M[from], ..., M[to]` from an interpretation. Detection does
+/// not need eagerly extracted state vectors (it reads snapshot hashes and
+/// compares snapshots in place); this helper serves callers that still want
 /// the explicit states, e.g. cross-checking tests.
 std::vector<State> ExtractStates(const Interpretation& interp, int64_t from,
                                  int64_t to);
-
-/// A window of `g` consecutive states `M[t], ..., M[t+g-1]`. For semi-normal
-/// rules (look-back depth `g > 1`) the periodicity condition compares windows
-/// rather than single states (Section 3.2).
-class StateWindow {
- public:
-  StateWindow() = default;
-
-  /// Extracts the window `[t, t + width)` from an interpretation.
-  static StateWindow FromInterpretation(const Interpretation& interp,
-                                        int64_t t, int64_t width);
-
-  /// Builds the window `[start, start + width)` from already-extracted
-  /// states (`states[i]` must be `M[i]`).
-  static StateWindow FromStates(const std::vector<State>& states,
-                                std::size_t start, std::size_t width);
-
-  std::size_t width() const { return states_.size(); }
-  const State& state(std::size_t i) const { return states_[i]; }
-
-  std::size_t Hash() const;
-
-  friend bool operator==(const StateWindow& a, const StateWindow& b) {
-    return a.states_ == b.states_;
-  }
-
- private:
-  std::vector<State> states_;
-};
-
-struct StateWindowHash {
-  std::size_t operator()(const StateWindow& w) const { return w.Hash(); }
-};
 
 }  // namespace chronolog
 

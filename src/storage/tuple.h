@@ -15,36 +15,23 @@ namespace chronolog {
 /// and materialise a Tuple only at API boundaries.
 using Tuple = std::vector<SymbolId>;
 
-/// Pre-finalization hash of one time-projected fact `(pred, args)` — the
-/// shared inner value both fact-hash families finalize. Factored out so
-/// computing the pair (FactHash, FactHash2) walks the tuple once. The span
-/// overload hashes `args[0..n)` identically, letting columnar storage feed
-/// gathered rows without building a Tuple.
-inline std::size_t FactHashBase(std::size_t pred, const SymbolId* args,
-                                std::size_t n) {
+/// Finalized hash of one time-projected fact `(pred, args)` — the unit of the
+/// order-independent snapshot hash. `State::Hash()` and the on-demand
+/// `Interpretation::SnapshotHash()` both sum these per-fact values (plus the
+/// fact count), so the two must use the exact same definition. `arg(i)`
+/// yields the i-th of the `n` arguments, which lets columnar storage hash a
+/// row in place instead of gathering it into a Tuple.
+template <typename ArgAt>
+std::size_t FactHash(std::size_t pred, std::size_t n, ArgAt arg) {
   std::size_t seed = n;
   HashCombine(seed, pred);
-  return HashRange(args, n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    HashCombine(seed, static_cast<std::size_t>(arg(i)));
+  }
+  return Mix64(seed);
 }
-inline std::size_t FactHashBase(std::size_t pred, const Tuple& args) {
-  return FactHashBase(pred, args.data(), args.size());
-}
-
-/// Finalized hash of one time-projected fact `(pred, args)` — the unit of the
-/// order-independent snapshot hash. `State::Hash()` and the incrementally
-/// maintained `Interpretation::SnapshotHash()` both sum these per-fact values
-/// (plus the fact count), so the two must use the exact same definition.
 inline std::size_t FactHash(std::size_t pred, const Tuple& args) {
-  return Mix64(FactHashBase(pred, args));
-}
-
-/// Companion hash of the same fact under the second finalizer (Mix64b).
-/// `State::Hash2()` / `Interpretation::SnapshotHash2()` sum these; snapshot
-/// comparison falls back to an exact check only when *both* families agree,
-/// which makes undetected collisions require two simultaneous 64-bit
-/// coincidences.
-inline std::size_t FactHash2(std::size_t pred, const Tuple& args) {
-  return Mix64b(FactHashBase(pred, args));
+  return FactHash(pred, args.size(), [&](std::size_t i) { return args[i]; });
 }
 
 }  // namespace chronolog

@@ -35,22 +35,6 @@ inline std::size_t Mix64(std::size_t x) {
   return x;
 }
 
-/// Second, independent 64-bit finalizer (the murmur3 fmix64 constants, vs
-/// splitmix64 above). `(Mix64(x), Mix64b(x))` behaves like a 128-bit hash of
-/// `x` for collision purposes: the two finalizers share no multiplier, so an
-/// additive-combine cancellation in one sum of finalized values does not
-/// carry over to the other. Pairing them lets snapshot comparison treat
-/// "both hashes agree" as near-certain equality before paying for an exact
-/// check.
-inline std::size_t Mix64b(std::size_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 /// Hash functor for vectors of integral values (tuples of interned symbols).
 struct VectorHash {
   template <typename Int>

@@ -47,7 +47,6 @@ void ExpectNaiveSemiNaiveAgree(std::string_view src, int64_t max_time) {
   EXPECT_EQ(naive_stats.min_new_time, semi_stats.min_new_time);
   for (int64_t t = 0; t <= max_time; ++t) {
     EXPECT_EQ(naive->SnapshotHash(t), semi->SnapshotHash(t)) << "t=" << t;
-    EXPECT_EQ(naive->SnapshotHash2(t), semi->SnapshotHash2(t)) << "t=" << t;
   }
 }
 

@@ -109,6 +109,31 @@ TEST(SerializeTest, MalformedPeriodFails) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+// b + c + p is |T|; a header whose sum does not fit in int64 would overflow
+// every rewrite and lookup.
+TEST(SerializeTest, OverflowingPeriodFails) {
+  for (const char* header : {"%!period b=9223372036854775807 p=1 c=0\n",
+                             "%!period b=0 p=1 c=9223372036854775807\n",
+                             "%!period b=1 p=9223372036854775807 c=0\n"}) {
+    auto loaded = DeserializeSpecification(
+        std::string("%!chronolog-spec 1\n") + header + "even(0).\n");
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << header;
+  }
+}
+
+// B holds facts at the representative times 0 .. b+c+p-1 only.
+TEST(SerializeTest, FactBeyondRepresentativesFails) {
+  auto loaded = DeserializeSpecification(
+      "%!chronolog-spec 1\n%!period b=0 p=2 c=0\neven(0).\neven(2).\n");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("representative"),
+            std::string::npos);
+  EXPECT_TRUE(DeserializeSpecification(
+                  "%!chronolog-spec 1\n%!period b=0 p=2 c=0\neven(0).\n"
+                  "even(1).\n")
+                  .ok());
+}
+
 TEST(SerializeTest, TokenRingRoundTripPreservesEverything) {
   ParsedUnit unit = MustParse(workload::TokenRingSource({3, 4}));
   RelationalSpecification spec = MustSpec(unit);

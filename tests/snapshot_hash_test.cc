@@ -1,10 +1,10 @@
-// The incrementally maintained snapshot hashes (Interpretation::SnapshotHash
-// and its independent second word SnapshotHash2) must equal the from-scratch
-// state hashes State::FromInterpretation(m, t).Hash() / .Hash2()
-// after every way a model can be produced or mutated: one-shot fixpoints,
-// resumed extension chains (including the backward-rule history-rewrite path
-// reported through EvalStats::min_new_time), truncation, and copies. The
-// combine is order-independent by construction; that too is pinned down here.
+// The on-demand snapshot hash Interpretation::SnapshotHash(t), summed from
+// the cells at `t`, must equal the from-scratch state hash
+// State::FromInterpretation(m, t).Hash() after every way a model can be
+// produced or mutated: one-shot fixpoints, resumed extension chains
+// (including the backward-rule history-rewrite path reported through
+// EvalStats::min_new_time), truncation, and copies. The combine is
+// order-independent by construction; that too is pinned down here.
 
 #include <gtest/gtest.h>
 
@@ -60,18 +60,15 @@ ParsedUnit MustParse(const std::string& src) {
   return std::move(unit).value();
 }
 
-/// Every snapshot hash on [0, horizon] — for BOTH independent hash
-/// functions — equals the hash of the state materialised from scratch (and,
-/// past the horizon, the empty-state hash).
+/// Every snapshot hash on [0, horizon] equals the hash of the state
+/// materialised from scratch (and, past the horizon, the empty-state hash).
 void ExpectHashesMatchFromScratch(const Interpretation& model,
                                   int64_t horizon) {
   for (int64_t t = 0; t <= horizon; ++t) {
     const State state = State::FromInterpretation(model, t);
     EXPECT_EQ(model.SnapshotHash(t), state.Hash()) << "t=" << t;
-    EXPECT_EQ(model.SnapshotHash2(t), state.Hash2()) << "t=" << t;
   }
   EXPECT_EQ(model.SnapshotHash(horizon + 7), State().Hash());
-  EXPECT_EQ(model.SnapshotHash2(horizon + 7), State().Hash2());
 }
 
 TEST(SnapshotHashTest, FixpointHashesMatchFromScratch) {
@@ -203,60 +200,6 @@ TEST(SnapshotHashTest, HashIsInsertionOrderIndependent) {
   // Distinct states should (for these tiny sets) hash differently.
   EXPECT_NE(forward_order.SnapshotHash(5), forward_order.SnapshotHash(6));
   EXPECT_NE(forward_order.SnapshotHash(5), State().Hash());
-}
-
-// The second per-fact hash (different finalizer seed, hash.h Mix64b) must be
-// genuinely independent of the first: order-invariant like the first, but
-// producing different words, so the (h1, h2) pair behaves like a 128-bit
-// fingerprint and VerifyCandidate/SnapshotEquals only pay for an exact
-// comparison when BOTH words collide.
-TEST(SnapshotHashTest, SecondHashIsIndependentAndOrderInvariant) {
-  ParsedUnit unit = MustParse(
-      "tok(0, a). tok(0, b). tok(0, c). tok(1, a).\n"
-      "tok(T+1, X) :- tok(T, X).");
-  const Vocabulary& vocab = unit.program.vocab();
-  std::vector<GroundAtom> facts;
-  for (std::string_view text :
-       {"tok(5, a)", "tok(5, b)", "tok(5, c)", "tok(6, a)", "tok(6, b)"}) {
-    auto atom = ParseGroundAtom(text, vocab);
-    ASSERT_TRUE(atom.ok()) << atom.status();
-    facts.push_back(*atom);
-  }
-
-  Interpretation forward_order(unit.program.vocab_ptr());
-  for (const GroundAtom& f : facts) forward_order.Insert(f);
-  Interpretation reverse_order(unit.program.vocab_ptr());
-  for (auto it = facts.rbegin(); it != facts.rend(); ++it) {
-    reverse_order.Insert(*it);
-  }
-
-  for (int64_t t = 0; t <= 6; ++t) {
-    EXPECT_EQ(forward_order.SnapshotHash2(t), reverse_order.SnapshotHash2(t))
-        << "t=" << t;
-  }
-  // Independence: for non-empty snapshots the two hash words disagree (the
-  // finalizers differ), and distinct states get distinct second hashes.
-  EXPECT_NE(forward_order.SnapshotHash2(5), forward_order.SnapshotHash(5));
-  EXPECT_NE(forward_order.SnapshotHash2(6), forward_order.SnapshotHash(6));
-  EXPECT_NE(forward_order.SnapshotHash2(5), forward_order.SnapshotHash2(6));
-  EXPECT_NE(forward_order.SnapshotHash2(5), State().Hash2());
-
-  // State::Hash2 mirrors the same independence.
-  const State s5 = State::FromInterpretation(forward_order, 5);
-  EXPECT_NE(s5.Hash2(), s5.Hash());
-  EXPECT_EQ(s5.Hash2(), forward_order.SnapshotHash2(5));
-}
-
-TEST(SnapshotHashTest, TruncationPrunesSecondHashToo) {
-  ParsedUnit unit = MustParse(workload::TokenRingSource({2, 3}));
-  FixpointOptions fp;
-  fp.max_time = 30;
-  auto model = SemiNaiveFixpoint(unit.program, unit.database, fp);
-  ASSERT_TRUE(model.ok()) << model.status();
-  model->TruncateInPlace(11);
-  ExpectHashesMatchFromScratch(*model, 11);
-  EXPECT_EQ(model->SnapshotHash2(12), State().Hash2());
-  EXPECT_EQ(model->SnapshotHash2(30), State().Hash2());
 }
 
 TEST(SnapshotHashTest, SnapshotEqualsAgreesWithStateEquality) {

@@ -112,14 +112,6 @@ TEST(DetectPeriodTest, DoublingMatchesForwardOnProgressivePrograms) {
   }
 }
 
-TEST(DetectPeriodTest, GeneralPathDisabledFails) {
-  ParsedUnit unit = MustParse("p(T) :- p(T+1).\np(3).");
-  PeriodDetectionOptions options;
-  options.allow_general = false;
-  auto detection = DetectPeriod(unit.program, unit.database, options);
-  EXPECT_EQ(detection.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(DetectPeriodTest, HorizonBudgetIsEnforced) {
   ParsedUnit unit = MustParse(workload::TokenRingSource({101, 103}));
   PeriodDetectionOptions options;

@@ -185,33 +185,5 @@ TEST_F(StorageTest, StateIgnoresNonTemporalFacts) {
   EXPECT_TRUE(State::FromInterpretation(interp, 0).empty());
 }
 
-TEST_F(StorageTest, StateWindowEqualityAndHash) {
-  Interpretation interp(vocab_);
-  interp.Insert(P(0, a_));
-  interp.Insert(P(1, b_));
-  interp.Insert(P(4, a_));
-  interp.Insert(P(5, b_));
-  StateWindow w0 = StateWindow::FromInterpretation(interp, 0, 2);
-  StateWindow w4 = StateWindow::FromInterpretation(interp, 4, 2);
-  StateWindow w1 = StateWindow::FromInterpretation(interp, 1, 2);
-  EXPECT_EQ(w0, w4);
-  EXPECT_EQ(StateWindowHash()(w0), StateWindowHash()(w4));
-  EXPECT_FALSE(w0 == w1);
-}
-
-TEST_F(StorageTest, StateWindowFromStatesMatchesInterpretation) {
-  Interpretation interp(vocab_);
-  interp.Insert(P(0, a_));
-  interp.Insert(P(2, b_));
-  std::vector<State> states;
-  for (int64_t t = 0; t <= 3; ++t) {
-    states.push_back(State::FromInterpretation(interp, t));
-  }
-  EXPECT_EQ(StateWindow::FromStates(states, 0, 3),
-            StateWindow::FromInterpretation(interp, 0, 3));
-  EXPECT_EQ(StateWindow::FromStates(states, 1, 2),
-            StateWindow::FromInterpretation(interp, 1, 2));
-}
-
 }  // namespace
 }  // namespace chronolog
