@@ -548,8 +548,12 @@ PY
 echo "serve gate: ok"
 
 echo "== sanitizer build + tests ($SAN_BUILD_DIR) =="
+# RelWithDebInfo defines NDEBUG by default; overriding its flags keeps -O2 -g
+# and turns the asserts back on (Relation::Probe's row-id check, MatchRow's
+# arity check), so the sanitizer run also checks the invariants.
 cmake -B "$SAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
   "-DCHRONOLOG_SANITIZE=address;undefined"
 cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 # halt_on_error makes UBSan findings fail the run instead of just logging.

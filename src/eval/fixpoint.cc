@@ -68,7 +68,8 @@ void SeedDatabase(const Vocabulary& vocab, const Database& db,
 /// derives: after round one the delta only ever holds derived (IDB) facts.
 Status RunSemiNaiveRounds(const Program& program,
                           const FixpointOptions& options, EvalStats* stats,
-                          Interpretation& full, Interpretation&& delta_in) {
+                          Interpretation& full, Interpretation&& delta_in,
+                          const DerivationHook& on_derive = nullptr) {
   const Vocabulary& vocab = program.vocab();
   Interpretation delta = std::move(delta_in);
 
@@ -112,6 +113,8 @@ Status RunSemiNaiveRounds(const Program& program,
     }
   }
 
+  // Ground body atoms of the current instantiation, filled only for a hook.
+  std::vector<GroundAtom> premises;
   bool first_round = true;
   while (!delta.empty()) {
     ++stats->iterations;
@@ -123,8 +126,12 @@ Status RunSemiNaiveRounds(const Program& program,
     first_round = false;
 
     // Derivations are buffered into `next_delta` and merged into `full`
-    // after the round: inserting into `full` mid-evaluation would invalidate
-    // the tuple-set iterators the rule evaluator is walking.
+    // after the round — round discipline, not iterator safety (relations are
+    // append-only, so cursors survive inserts): `delta` must hold exactly
+    // the previous round's new facts. Inserting into `full` mid-round would
+    // let later (rule, position) pairs of the same round see this round's
+    // facts, changing which instantiations each round enumerates and with
+    // it the derived/match_steps counters the benchmark gate pins.
     Interpretation next_delta(program.vocab_ptr());
     bool overflow = false;
     // With a registry attached every round is timed — metered runs want the
@@ -141,11 +148,13 @@ Status RunSemiNaiveRounds(const Program& program,
             [&](GroundAtom&& fact) {
               if (!WithinBound(vocab, fact, options.max_time)) return;
               if (full.Contains(fact)) return;
-              next_delta.Insert(fact.pred, fact.time, std::move(fact.args));
+              if (!next_delta.Insert(fact.pred, fact.time, fact.args)) return;
+              if (on_derive) on_derive(task.rule, fact, premises);
               if (full.size() + next_delta.size() > options.max_facts) {
                 overflow = true;
               }
-            });
+            },
+            on_derive ? &premises : nullptr);
         if (overflow) return TooLarge(options.max_facts);
       }
     }
@@ -160,15 +169,10 @@ Status RunSemiNaiveRounds(const Program& program,
     }
     delta = std::move(next_delta);
   }
-  if (options.plan_report != nullptr) {
-    // Snapshot the executed join plans before the evaluators die. Overwrites
-    // wholesale: when the doubling detector runs several fixpoints, the last
-    // (widest-horizon) one's plans are the ones EXPLAIN should show.
-    options.plan_report->assign(program.rules().size(), {});
-    for (std::size_t i = 0; i < evaluators.size(); ++i) {
-      evaluators[i].ExportPlans(&(*options.plan_report)[i]);
-    }
-  }
+  // Overwrites wholesale: when the doubling detector runs several
+  // fixpoints, the last (widest-horizon) one's plans are the ones EXPLAIN
+  // should show.
+  ExportPlanReport(evaluators, options.plan_report);
   return Status();
 }
 
@@ -271,15 +275,16 @@ Result<Interpretation> NaiveFixpoint(const Program& program,
 Result<Interpretation> SemiNaiveFixpoint(const Program& program,
                                          const Database& db,
                                          const FixpointOptions& options,
-                                         EvalStats* stats) {
+                                         EvalStats* stats,
+                                         const DerivationHook& on_derive) {
   TraceSpan span(options.trace, "fixpoint.semi_naive");
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Interpretation full(program.vocab_ptr());
   Interpretation delta(program.vocab_ptr());
   SeedDatabase(program.vocab(), db, options.max_time, full, &delta, stats);
-  Status status =
-      RunSemiNaiveRounds(program, options, stats, full, std::move(delta));
+  Status status = RunSemiNaiveRounds(program, options, stats, full,
+                                     std::move(delta), on_derive);
   if (!status.ok()) return status;
   return full;
 }

@@ -2,7 +2,9 @@
 #define CHRONOLOG_EVAL_FIXPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include "ast/program.h"
 #include "eval/rule_eval.h"
@@ -41,22 +43,34 @@ Result<Interpretation> ApplyTp(const Program& program, const Database& db,
 /// Reports the same `inserted`/`min_new_time` totals as SemiNaiveFixpoint
 /// on the same program (each fact counted once, in its first pass).
 ///
-/// Test-only reference oracle: nothing in production reaches this path. It
-/// is kept because it is a direct transcription of Figure 1 — small
-/// enough to audit by eye — and the equivalence suites compare the
-/// semi-naive evaluator's models, stats, and snapshot hashes against it.
+/// The reference oracle: no query or spec build reaches this path. It is
+/// kept because it is a direct transcription of Figure 1 — small enough to
+/// audit by eye — and the equivalence suites compare the semi-naive
+/// evaluator's models, stats, and snapshot hashes against it. Its one other
+/// caller is the boundedness probe (analysis/boundedness.h), which needs
+/// the pass count `stats->iterations` of exactly this loop.
 Result<Interpretation> NaiveFixpoint(const Program& program,
                                      const Database& db,
                                      const FixpointOptions& options,
                                      EvalStats* stats = nullptr);
 
+/// Observer of the semi-naive loop: called once per derived fact the first
+/// time it is derived (database facts excluded), with the index of the rule
+/// (into Program::rules()) and the instantiated ground body atoms in source
+/// order. Both references die with the call. Provenance builds its proof
+/// forest from it.
+using DerivationHook =
+    std::function<void(std::size_t rule_index, const GroundAtom& fact,
+                       const std::vector<GroundAtom>& premises)>;
+
 /// Semi-naive variant: each round matches one body atom against the facts
 /// newly derived in the previous round. Produces the same fixpoint as
 /// NaiveFixpoint while avoiding re-derivation (benchmarked as experiment E8).
-Result<Interpretation> SemiNaiveFixpoint(const Program& program,
-                                         const Database& db,
-                                         const FixpointOptions& options,
-                                         EvalStats* stats = nullptr);
+/// A non-empty `on_derive` sees every derivation that adds a fact.
+Result<Interpretation> SemiNaiveFixpoint(
+    const Program& program, const Database& db,
+    const FixpointOptions& options, EvalStats* stats = nullptr,
+    const DerivationHook& on_derive = nullptr);
 
 /// Resumable fixpoint: extends an already-closed truncated least model to a
 /// wider truncation bound without recomputing it. `prior` must be the least

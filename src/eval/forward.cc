@@ -79,7 +79,6 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
     detect_hist = metrics->histogram("forward.detect_ns");
   }
 
-  const Vocabulary& vocab = program.vocab();
   const int64_t c = db.MaxTemporalDepth();
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
@@ -88,60 +87,13 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   Interpretation& model = result.model;
   model.InsertDatabase(db);
 
-  // Split rules: non-temporal heads close the non-temporal part once
-  // (their bodies are non-temporal by progressivity); temporal-head rules
-  // drive the per-timestep simulation.
-  std::vector<const Rule*> nt_rules;
-  std::vector<const Rule*> t_rules;
+  // One evaluator per rule, built ahead of every pass so join plans
+  // survive across passes and timesteps (and reach plan_report at the end).
+  std::vector<RuleEvaluator> evaluators;
+  evaluators.reserve(program.rules().size());
   for (const Rule& rule : program.rules()) {
-    (rule.head.temporal() ? t_rules : nt_rules).push_back(&rule);
-  }
-
-  // Phase 0: non-temporal closure (plain Datalog fixpoint; buffered inserts
-  // keep the evaluator's iterators valid). Evaluators are built once, ahead
-  // of the loop, so their join plans survive across passes. Kept alive to
-  // the end of the function so plan_report can snapshot them.
-  std::vector<RuleEvaluator> nt_evaluators;
-  nt_evaluators.reserve(nt_rules.size());
-  for (const Rule* rule : nt_rules) {
-    nt_evaluators.emplace_back(*rule, vocab, /*use_index=*/true, metrics);
-  }
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      std::vector<GroundAtom> buffer;
-      for (RuleEvaluator& evaluator : nt_evaluators) {
-        evaluator.Evaluate(model, nullptr, -1, std::nullopt, &result.stats,
-                           [&](GroundAtom&& fact) {
-                             if (!model.Contains(fact)) {
-                               buffer.push_back(std::move(fact));
-                             }
-                           });
-      }
-      for (GroundAtom& fact : buffer) {
-        if (model.Insert(std::move(fact))) {
-          ++result.stats.inserted;
-          changed = true;
-        }
-      }
-    }
-  }
-
-  // Temporal-head rule evaluators, with the head's temporal variable and
-  // offset precomputed.
-  struct TemporalRule {
-    const Rule* rule;
-    RuleEvaluator evaluator;
-    VarId time_var;
-    int64_t head_offset;
-  };
-  std::vector<TemporalRule> temporal_rules;
-  temporal_rules.reserve(t_rules.size());
-  for (const Rule* rule : t_rules) {
-    temporal_rules.push_back(
-        TemporalRule{rule, RuleEvaluator(*rule, vocab, true, metrics),
-                     rule->head.time->var, rule->head.time->offset});
+    evaluators.emplace_back(rule, program.vocab(), /*use_index=*/true,
+                            metrics);
   }
 
   // A rule can consume a fact derived at its own timestep only through a
@@ -151,13 +103,57 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   // a single evaluation pass — the re-verification round, which re-derives
   // every fact at `t` just to observe no change, is pure overhead.
   bool same_time_feedback = false;
-  for (const TemporalRule& tr : temporal_rules) {
-    for (const Atom& atom : tr.rule->body) {
-      if (atom.temporal() && atom.time->offset == tr.head_offset) {
+  for (const Rule& rule : program.rules()) {
+    if (!rule.head.temporal()) continue;
+    for (const Atom& atom : rule.body) {
+      if (atom.temporal() && atom.time->offset == rule.head.time->offset) {
         same_time_feedback = true;
       }
     }
   }
+
+  // The closure at one timestep `t` (the temporal-head rules, head variable
+  // bound so the head lands on `t`) or, with no `t`, of the non-temporal
+  // part (the non-temporal-head rules, whose bodies are non-temporal by
+  // progressivity). Derived facts go straight into the model: relations
+  // are append-only with positional row ids, so the evaluator's scan
+  // cursors and probe buckets stay valid while a cell grows, and a scan
+  // simply also visits the rows added behind it. Passes repeat while one
+  // inserts something and `repeat` holds.
+  auto close = [&](std::optional<int64_t> t, bool repeat) -> Status {
+    bool changed;
+    do {
+      changed = false;
+      for (std::size_t i = 0; i < evaluators.size(); ++i) {
+        const Atom& head = program.rules()[i].head;
+        if (head.temporal() != t.has_value()) continue;
+        std::optional<std::pair<VarId, int64_t>> binding;
+        if (t.has_value()) {
+          const int64_t v = *t - head.time->offset;
+          if (v < 0) continue;
+          binding.emplace(head.time->var, v);
+        }
+        evaluators[i].Evaluate(model, nullptr, -1, binding, &result.stats,
+                               [&](GroundAtom&& fact) {
+                                 // Contains-first: a duplicate insert could
+                                 // still grow the dedup table.
+                                 if (model.Contains(fact)) return;
+                                 model.Insert(fact.pred, fact.time,
+                                              fact.args);
+                                 ++result.stats.inserted;
+                                 changed = true;
+                               });
+      }
+      if (model.size() > options.max_facts) {
+        return ResourceExhaustedError("ForwardSimulate exceeded max_facts = " +
+                                      std::to_string(options.max_facts));
+      }
+    } while (repeat && changed);
+    return Status();
+  };
+
+  // Phase 0: the non-temporal part, a plain Datalog fixpoint.
+  CHRONOLOG_RETURN_IF_ERROR(close(std::nullopt, /*repeat=*/true));
 
   // Window detection: start times of previously seen windows of g states,
   // bucketed by window hash. Each state is hashed once, when its timestep
@@ -186,65 +182,19 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
     return true;
   };
 
-  auto too_large = [&]() {
-    return ResourceExhaustedError(
-        "ForwardSimulate exceeded its budget (max_steps = " +
-        std::to_string(options.max_steps) +
-        "); the period of this TDD may be exponentially large (Theorem 3.1)");
-  };
-
-  std::vector<GroundAtom> buffer;
   for (int64_t t = 0;; ++t) {
-    if (t > options.max_steps) return too_large();
+    if (t > options.max_steps) {
+      return ResourceExhaustedError(
+          "ForwardSimulate exceeded its budget (max_steps = " +
+          std::to_string(options.max_steps) +
+          "); the period of this TDD may be exponentially large "
+          "(Theorem 3.1)");
+    }
     if (steps_counter != nullptr) steps_counter->Add();
     TraceSpan step_span(options.trace, "forward.timestep");
     PhaseTimer step_timer(metrics != nullptr, /*field=*/nullptr, step_hist);
     // Within-timestep fixpoint: all rules whose head lands on `t`.
-    if (!same_time_feedback) {
-      // Every body atom reads a strictly earlier timestep, so inserting the
-      // derived facts (which all land on `t`) cannot touch any container the
-      // evaluator is iterating — insert directly, no buffering, one pass.
-      for (TemporalRule& tr : temporal_rules) {
-        int64_t v = t - tr.head_offset;
-        if (v < 0) continue;
-        tr.evaluator.Evaluate(model, nullptr, -1,
-                              std::make_pair(tr.time_var, v), &result.stats,
-                              [&](GroundAtom&& fact) {
-                                // Contains-first keeps the evaluator's
-                                // scratch tuple alive on the (dominant)
-                                // duplicate path — no allocation per dup.
-                                if (model.Contains(fact)) return;
-                                model.Insert(fact.pred, fact.time,
-                                             std::move(fact.args));
-                                ++result.stats.inserted;
-                              });
-      }
-      if (model.size() > options.max_facts) return too_large();
-    } else {
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        buffer.clear();
-        for (TemporalRule& tr : temporal_rules) {
-          int64_t v = t - tr.head_offset;
-          if (v < 0) continue;
-          tr.evaluator.Evaluate(model, nullptr, -1,
-                                std::make_pair(tr.time_var, v), &result.stats,
-                                [&](GroundAtom&& fact) {
-                                  if (!model.Contains(fact)) {
-                                    buffer.push_back(std::move(fact));
-                                  }
-                                });
-        }
-        for (GroundAtom& fact : buffer) {
-          if (model.Insert(std::move(fact))) {
-            ++result.stats.inserted;
-            changed = true;
-          }
-        }
-        if (model.size() > options.max_facts) return too_large();
-      }
-    }
+    CHRONOLOG_RETURN_IF_ERROR(close(t, same_time_feedback));
 
     step_timer.Stop();
     state_hashes.push_back(model.SnapshotHash(t));
@@ -292,21 +242,7 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
     }
     result.period.b = std::max<int64_t>(0, k - c);
     result.period.p = p;
-    if (options.plan_report != nullptr) {
-      // Snapshot executed join plans for EXPLAIN. Rule index = pointer
-      // offset into program.rules(), which nt_rules/t_rules partitioned.
-      options.plan_report->assign(program.rules().size(), {});
-      const Rule* base = program.rules().data();
-      for (std::size_t i = 0; i < nt_rules.size(); ++i) {
-        nt_evaluators[i].ExportPlans(
-            &(*options.plan_report)[static_cast<std::size_t>(nt_rules[i] -
-                                                             base)]);
-      }
-      for (const TemporalRule& tr : temporal_rules) {
-        tr.evaluator.ExportPlans(
-            &(*options.plan_report)[static_cast<std::size_t>(tr.rule - base)]);
-      }
-    }
+    ExportPlanReport(evaluators, options.plan_report);
     return result;
   }
 }

@@ -1,5 +1,7 @@
 #include "eval/provenance.h"
 
+#include <cassert>
+
 #include "ast/printer.h"
 
 namespace chronolog {
@@ -60,73 +62,29 @@ Result<ProofForest> MaterializeWithProvenance(const Program& program,
                                               EvalStats* stats) {
   const Vocabulary& vocab = program.vocab();
   ProofForest forest(program.vocab_ptr());
-  Interpretation full(program.vocab_ptr());
-  Interpretation delta(program.vocab_ptr());
-
   for (const GroundAtom& f : db.facts()) {
-    if (vocab.predicate(f.pred).is_temporal && f.time > options.max_time) {
-      continue;
-    }
-    if (full.Insert(f)) {
-      delta.Insert(f);
+    if (!vocab.predicate(f.pred).is_temporal || f.time <= options.max_time) {
       forest.Add(ProofNode{f, -1, {}});
     }
   }
-
-  std::vector<RuleEvaluator> evaluators;
-  evaluators.reserve(program.rules().size());
-  for (const Rule& rule : program.rules()) {
-    evaluators.emplace_back(rule, vocab, options.use_index, options.metrics);
-  }
-
-  std::vector<GroundAtom> body;  // premises of each emitted instantiation
-  while (!delta.empty()) {
-    if (stats != nullptr) ++stats->iterations;
-    Interpretation next_delta(program.vocab_ptr());
-    std::vector<ProofNode> pending;
-    bool overflow = false;
-    for (std::size_t ri = 0; ri < program.rules().size(); ++ri) {
-      const Rule& rule = program.rules()[ri];
-      for (int pos = 0; pos < static_cast<int>(rule.body.size()); ++pos) {
-        evaluators[ri].Evaluate(
-            full, &delta, pos, std::nullopt, stats,
-            [&](GroundAtom&& head) {
-              if (vocab.predicate(head.pred).is_temporal &&
-                  head.time > options.max_time) {
-                return;
-              }
-              if (full.Contains(head) || next_delta.Contains(head)) return;
-              ProofNode node;
-              node.rule_index = static_cast<int>(ri);
-              node.premises.reserve(body.size());
-              for (const GroundAtom& premise : body) {
-                // Premises were matched against `full` or `delta`; both
-                // are subsets of the forest, so the lookup always succeeds.
-                std::size_t id = forest.Find(premise);
-                if (id == ProofForest::kNotFound) return;
-                node.premises.push_back(id);
-              }
-              next_delta.Insert(head);
-              node.fact = std::move(head);
-              pending.push_back(std::move(node));
-              if (full.size() + pending.size() > options.max_facts) {
-                overflow = true;
-              }
-            },
-            &body);
-        if (overflow) {
-          return ResourceExhaustedError(
-              "provenance fixpoint exceeded max_facts = " +
-              std::to_string(options.max_facts));
-        }
-      }
+  // Every premise was matched against the model, whose facts all entered
+  // the forest before the fact they now prove: the lookups always succeed
+  // and yield smaller ids.
+  DerivationHook add_proof = [&](std::size_t rule_index,
+                                 const GroundAtom& fact,
+                                 const std::vector<GroundAtom>& premises) {
+    ProofNode node{fact, static_cast<int>(rule_index), {}};
+    node.premises.reserve(premises.size());
+    for (const GroundAtom& premise : premises) {
+      node.premises.push_back(forest.Find(premise));
+      assert(node.premises.back() != ProofForest::kNotFound);
     }
-    for (ProofNode& node : pending) {
-      GroundAtom fact = node.fact;
-      if (forest.Add(std::move(node))) full.Insert(std::move(fact));
-    }
-    delta = std::move(next_delta);
-  }
+    forest.Add(std::move(node));
+  };
+  FixpointOptions run = options;
+  run.plan_report = nullptr;
+  CHRONOLOG_RETURN_IF_ERROR(
+      SemiNaiveFixpoint(program, db, run, stats, add_proof).status());
   return forest;
 }
 

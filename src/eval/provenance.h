@@ -68,10 +68,13 @@ class ProofForest {
   std::unordered_map<GroundAtom, std::size_t, GroundAtomHash> index_;
 };
 
-/// Computes the truncated least model like SemiNaiveFixpoint while
-/// recording one proof per derived fact. Costs extra memory proportional
-/// to the proof premises; use for debugging, auditing and the engine's
-/// `Explain`.
+/// Records one proof per fact of the truncated least model: the database
+/// facts within `[0...max_time]` become leaves, then SemiNaiveFixpoint runs
+/// with a DerivationHook that adds each derived fact with the first
+/// instantiation that produced it. `stats` receives the fixpoint's
+/// counters, identical to a plain SemiNaiveFixpoint run. The options'
+/// `plan_report` is ignored. Costs memory proportional to the proof
+/// premises; use for debugging, auditing and the engine's `Explain`.
 Result<ProofForest> MaterializeWithProvenance(const Program& program,
                                               const Database& db,
                                               const FixpointOptions& options,

@@ -528,4 +528,13 @@ void RuleEvaluator::Evaluate(
   }
 }
 
+void ExportPlanReport(const std::vector<RuleEvaluator>& evaluators,
+                      RulePlanReport* report) {
+  if (report == nullptr) return;
+  report->assign(evaluators.size(), {});
+  for (std::size_t i = 0; i < evaluators.size(); ++i) {
+    evaluators[i].ExportPlans(&(*report)[i]);
+  }
+}
+
 }  // namespace chronolog

@@ -53,7 +53,8 @@ struct EvalContext {
   /// `*plan_report` (overwritten wholesale, indexed like Program::rules())
   /// before its evaluators are destroyed — the raw material of EXPLAIN.
   /// When several fixpoints run (verified doubling), the last one wins. The
-  /// naive reference fixpoint and the provenance evaluator ignore it.
+  /// naive reference fixpoint ignores it; provenance clears it, so an
+  /// engine `Explain` never replaces the spec build's plans.
   RulePlanReport* plan_report = nullptr;
 };
 
@@ -166,6 +167,12 @@ class RuleEvaluator {
   // Mutable: planning is an internal optimisation of const evaluation.
   mutable std::unique_ptr<PlanCache> plans_;
 };
+
+/// Snapshots the executed join plans of `evaluators` (indexed like
+/// Program::rules()) into `*report`, overwriting it wholesale. No-op when
+/// `report` is null.
+void ExportPlanReport(const std::vector<RuleEvaluator>& evaluators,
+                      RulePlanReport* report);
 
 }  // namespace chronolog
 

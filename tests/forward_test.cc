@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
+#include <string>
 
 #include "ast/parser.h"
 #include "eval/fixpoint.h"
@@ -194,15 +196,36 @@ TEST(ForwardTest, MinimalityNoSmallerPeriodWorks) {
 
 TEST(ForwardTest, ForwardModelMatchesFixpointOnSegment) {
   std::mt19937 rng(1234);
-  ParsedUnit unit = MustParse(workload::PathProgramSource() +
-                              workload::RandomGraphFactsSource(6, 9, &rng));
-  auto result = ForwardSimulate(unit.program, unit.database);
-  ASSERT_TRUE(result.ok());
-  FixpointOptions options;
-  options.max_time = result->horizon;
-  auto model = SemiNaiveFixpoint(unit.program, unit.database, options);
-  ASSERT_TRUE(model.ok());
-  EXPECT_TRUE(result->model.SegmentEquals(*model, result->horizon));
+  // The chain program closes a 200-node chain both within one timestep
+  // (`reach`) and in the non-temporal part (`tc`): the forward closures
+  // insert into the very cells and column indexes they are scanning.
+  std::string chain = R"(
+    @temporal reach/2.
+    reach(0, n0).
+    reach(T, Y) :- reach(T, X), link(X, Y).
+    reach(T+1, X) :- reach(T, X).
+    tc(X, Y) :- link(X, Y).
+    tc(X, Z) :- link(X, Y), tc(Y, Z).
+  )";
+  constexpr int kChain = 200;
+  for (int i = 0; i + 1 < kChain; ++i) {
+    chain += "link(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+             ").\n";
+  }
+  for (const std::string& source :
+       {workload::PathProgramSource() +
+            workload::RandomGraphFactsSource(6, 9, &rng),
+        chain}) {
+    ParsedUnit unit = MustParse(source);
+    auto result = ForwardSimulate(unit.program, unit.database);
+    ASSERT_TRUE(result.ok()) << result.status();
+    FixpointOptions options;
+    options.max_time = result->horizon;
+    auto model = SemiNaiveFixpoint(unit.program, unit.database, options);
+    ASSERT_TRUE(model.ok());
+    EXPECT_TRUE(result->model.SegmentEquals(*model, result->horizon))
+        << source.substr(0, 120);
+  }
 }
 
 TEST(ForwardTest, NonProgressiveProgramIsRejected) {
@@ -217,6 +240,20 @@ TEST(ForwardTest, StepBudgetIsEnforced) {
   options.max_steps = 100;  // far below lcm(97, 89) = 8633
   auto result = ForwardSimulate(unit.program, unit.database, options);
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ForwardTest, FactBudgetIsEnforced) {
+  ParsedUnit unit = MustParse(
+      "p(T+1, X) :- p(T, X).\np(T, Y) :- p(T, X), e(X, Y).\n"
+      "p(0, a). e(a, b). e(b, c). e(c, d).");
+  ForwardOptions options;
+  options.max_facts = 5;
+  auto result = ForwardSimulate(unit.program, unit.database, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  // The error names the budget that ran out.
+  EXPECT_NE(result.status().ToString().find("max_facts = 5"),
+            std::string::npos)
+      << result.status();
 }
 
 TEST(ForwardTest, DatabaseHorizonShiftsB) {

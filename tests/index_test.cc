@@ -89,6 +89,47 @@ TEST_F(IndexTest, SnapshotIndexMaintainedAcrossInserts) {
   EXPECT_EQ(interp.Snapshot(p_, 1).Probe(0, b_)->size(), 1u);
 }
 
+// The contract the forward simulator's closures rely on when they insert
+// straight into the model they are scanning: a held relation reference and
+// a held probe bucket stay valid, and see the new rows, while the relation
+// grows through dedup-table growth, column reallocation and index rehashes.
+TEST_F(IndexTest, HeldBucketAndRelationSeeRowsInsertedLater) {
+  Interpretation interp(vocab_);
+  interp.Insert(e_, 0, {a_, b_});
+  interp.Insert(p_, 2, {a_, b_});
+  const Relation& rel = interp.NonTemporal(e_);
+  const Relation& cell = interp.Snapshot(p_, 2);
+  const std::vector<uint32_t>* bucket = rel.Probe(0, a_);
+  const std::vector<uint32_t>* cell_bucket = cell.Probe(0, a_);
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_NE(cell_bucket, nullptr);
+  constexpr int kRows = 1200;
+  for (int i = 0; i < kRows; ++i) {
+    const SymbolId k = vocab_->InternConstant("k" + std::to_string(i));
+    interp.Insert(e_, 0, {k, a_});
+    interp.Insert(e_, 0, {a_, k});
+    interp.Insert(p_, 2, {a_, k});
+    interp.Insert(p_, 2 + 1 + i, {a_, k});  // new cells next to the held one
+  }
+  EXPECT_EQ(rel.size(), 2u * kRows + 1);
+  EXPECT_EQ(cell.size(), static_cast<std::size_t>(kRows) + 1);
+  ASSERT_EQ(bucket->size(), static_cast<std::size_t>(kRows) + 1);
+  ASSERT_EQ(cell_bucket->size(), static_cast<std::size_t>(kRows) + 1);
+  for (uint32_t row : *bucket) {
+    ASSERT_LT(row, rel.size());
+    EXPECT_EQ(rel.at(row, 0), a_);
+  }
+  for (uint32_t row : *cell_bucket) {
+    ASSERT_LT(row, cell.size());
+    EXPECT_EQ(cell.at(row, 0), a_);
+  }
+  // The held pointers are still the ones a fresh probe returns.
+  EXPECT_EQ(rel.Probe(0, a_), bucket);
+  EXPECT_EQ(cell.Probe(0, a_), cell_bucket);
+  EXPECT_EQ(&interp.NonTemporal(e_), &rel);
+  EXPECT_EQ(&interp.Snapshot(p_, 2), &cell);
+}
+
 TEST_F(IndexTest, CopyCarriesAnIndependentIndex) {
   Interpretation interp(vocab_);
   interp.Insert(e_, 0, {a_, b_});

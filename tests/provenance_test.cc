@@ -35,17 +35,26 @@ TEST(ProvenanceTest, ForestMatchesFixpoint) {
   std::mt19937 rng(3);
   ParsedUnit unit = MustParse(workload::PathProgramSource() +
                               workload::RandomGraphFactsSource(5, 9, &rng));
-  const int64_t horizon = 10;
-  ProofForest forest = MustForest(unit, horizon);
   FixpointOptions options;
-  options.max_time = horizon;
-  auto model = SemiNaiveFixpoint(unit.program, unit.database, options);
+  options.max_time = 10;
+  EvalStats forest_stats;
+  auto forest = MaterializeWithProvenance(unit.program, unit.database,
+                                          options, &forest_stats);
+  ASSERT_TRUE(forest.ok()) << forest.status();
+  EvalStats model_stats;
+  auto model =
+      SemiNaiveFixpoint(unit.program, unit.database, options, &model_stats);
   ASSERT_TRUE(model.ok());
   // Same set of facts in both directions.
-  EXPECT_EQ(forest.size(), model->size());
+  EXPECT_EQ(forest->size(), model->size());
   model->ForEach([&](PredicateId pred, int64_t t, const Tuple& args) {
-    EXPECT_TRUE(forest.Contains(GroundAtom(pred, t, args)));
+    EXPECT_TRUE(forest->Contains(GroundAtom(pred, t, args)));
   });
+  // Same work: provenance runs the one semi-naive loop.
+  EXPECT_EQ(forest_stats.derived, model_stats.derived);
+  EXPECT_EQ(forest_stats.inserted, model_stats.inserted);
+  EXPECT_EQ(forest_stats.match_steps, model_stats.match_steps);
+  EXPECT_GT(forest_stats.inserted, 0u);
 }
 
 TEST(ProvenanceTest, ProofsAreWellFormed) {
@@ -154,6 +163,28 @@ TEST(ExplainTest, EngineRewritesDeepAtomsFirst) {
             std::string::npos)
       << *proof;
   EXPECT_NE(proof->find("even(0)"), std::string::npos);
+}
+
+TEST(ExplainTest, ExplainLeavesSpecPlansAlone) {
+  auto tdd = TemporalDatabase::FromSource(
+      workload::SkiScheduleSource(1, 12, 4, 1));
+  ASSERT_TRUE(tdd.ok());
+  ASSERT_TRUE(tdd->Ask("plane(3, resort0)").ok());
+  const RulePlanReport before = tdd->spec_info().plans;
+  ASSERT_FALSE(before.empty());
+  ASSERT_TRUE(tdd->Explain("plane(3, resort0)").ok());
+  ASSERT_TRUE(tdd->Explain("plane(400, resort0)").ok());
+  const RulePlanReport& after = tdd->spec_info().plans;
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(after[i].size(), before[i].size()) << "rule " << i;
+    for (std::size_t j = 0; j < before[i].size(); ++j) {
+      EXPECT_EQ(after[i][j].order, before[i][j].order);
+      EXPECT_EQ(after[i][j].probe_cols, before[i][j].probe_cols);
+      EXPECT_EQ(after[i][j].observed_steps, before[i][j].observed_steps);
+      EXPECT_EQ(after[i][j].observed_emits, before[i][j].observed_emits);
+    }
+  }
 }
 
 TEST(ExplainTest, EngineExplainFailsForFalseAtoms) {
