@@ -56,12 +56,10 @@ SccRulePartition::SccRulePartition(const Program& program,
 }
 
 SccFixpointStats SolveSccFixpoint(
-    const Program& program, const DependencyGraph& graph,
-    const SccRulePartition& partition,
+    const DependencyGraph& graph, const SccRulePartition& partition,
     const std::function<bool(int rule_index)>& apply_rule,
     const std::function<bool(PredicateId)>& widen,
     const std::function<void(int component)>& narrow_component) {
-  (void)program;
   SccFixpointStats stats;
   const auto& members = graph.components();
   for (int comp = 0; comp < partition.num_components(); ++comp) {
@@ -300,7 +298,7 @@ TemporalOffsetResult RunOffsetAnalysis(const Program& program,
       if (!changed) break;
     }
   };
-  *stats = SolveSccFixpoint(program, graph, partition, apply, widen, narrow);
+  *stats = SolveSccFixpoint(graph, partition, apply, widen, narrow);
 
   // Per-component structure: cycle gcds and self-delay periods.
   result.period_divisor = 1;
@@ -409,8 +407,7 @@ DegreeResult RunDegreeAnalysis(const Program& program, const Database& db,
   };
   // Degrees are capped at the arity, so the lattice is finite and the
   // fixpoint converges without widening.
-  SolveSccFixpoint(program, graph, partition, apply,
-                   [](PredicateId) { return false; });
+  SolveSccFixpoint(graph, partition, apply, [](PredicateId) { return false; });
 
   for (const Rule& rule : program.rules()) {
     if (rule.head.pred < num_preds) {
@@ -422,185 +419,7 @@ DegreeResult RunDegreeAnalysis(const Program& program, const Database& db,
 }
 
 // ---------------------------------------------------------------------------
-// Binding-pattern (adornment) analysis
-// ---------------------------------------------------------------------------
-
-/// Greedy SIPS linearization of one rule body under a set of pre-bound
-/// variables: repeatedly pick the atom with the highest fraction of bound
-/// argument positions (ties to source order), binding its variables for the
-/// later picks. Returns body positions in evaluation order.
-std::vector<uint32_t> SipsOrder(const Rule& rule, std::vector<char>* bound) {
-  const std::size_t n = rule.body.size();
-  std::vector<uint32_t> order;
-  order.reserve(n);
-  std::vector<char> used(n, 0);
-  for (std::size_t step = 0; step < n; ++step) {
-    int best = -1;
-    double best_score = -1;
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      if (used[pos]) continue;
-      const Atom& atom = rule.body[pos];
-      int positions = 0;
-      int bound_positions = 0;
-      if (atom.temporal()) {
-        ++positions;
-        if (atom.time->ground() || (*bound)[atom.time->var]) ++bound_positions;
-      }
-      for (const NtTerm& t : atom.args) {
-        ++positions;
-        if (t.is_constant() || (*bound)[t.id]) ++bound_positions;
-      }
-      const double score =
-          positions == 0
-              ? 1.0
-              : static_cast<double>(bound_positions) / positions;
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<int>(pos);
-      }
-    }
-    used[best] = 1;
-    order.push_back(static_cast<uint32_t>(best));
-    const Atom& chosen = rule.body[static_cast<std::size_t>(best)];
-    if (chosen.temporal() && !chosen.time->ground()) {
-      (*bound)[chosen.time->var] = 1;
-    }
-    for (const NtTerm& t : chosen.args) {
-      if (t.is_variable()) (*bound)[t.id] = 1;
-    }
-  }
-  return order;
-}
-
-AdornmentResult RunAdornmentAnalysis(const Program& program,
-                                     const FlowOptions& options) {
-  const Vocabulary& vocab = program.vocab();
-  const std::size_t num_preds = vocab.num_predicates();
-  AdornmentResult result;
-
-  // Join-order priors: the bottom-up fixpoint binds no head arguments, so
-  // every rule's prior is the SIPS order under an all-free head. A prior is
-  // only exported when it actually reorders a multi-atom body.
-  result.priors.assign(program.rules().size(), {});
-  for (std::size_t i = 0; i < program.rules().size(); ++i) {
-    const Rule& rule = program.rules()[i];
-    if (rule.body.size() < 2) continue;
-    std::vector<char> bound(rule.num_vars(), 0);
-    std::vector<uint32_t> order = SipsOrder(rule, &bound);
-    bool identity = true;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      if (order[k] != k) identity = false;
-    }
-    if (!identity) result.priors[i] = std::move(order);
-  }
-
-  // Bound/free propagation from the roots. Worklist of (pred, pattern);
-  // per rule, body adornments are taken at the moment the SIPS order
-  // reaches each atom.
-  std::vector<std::set<std::string>> patterns(num_preds);
-  std::vector<std::pair<PredicateId, std::string>> work;
-  const auto push = [&](PredicateId p, std::string pattern) {
-    if (p >= num_preds) return;
-    if (patterns[p].insert(pattern).second) {
-      work.push_back({p, std::move(pattern)});
-    }
-  };
-
-  std::vector<std::string> root_names = options.roots;
-  if (root_names.empty()) {
-    for (const Rule& rule : program.rules()) {
-      if (rule.head.pred < num_preds) {
-        const PredicateInfo& info = vocab.predicate(rule.head.pred);
-        push(rule.head.pred, std::string(info.arity, 'f'));
-      }
-    }
-  } else {
-    for (const std::string& name : root_names) {
-      const PredicateId p = vocab.FindPredicate(name);
-      if (p == kInvalidPredicate || p >= num_preds) continue;  // lint L013
-      push(p, std::string(vocab.predicate(p).arity, 'f'));
-    }
-  }
-
-  std::vector<std::vector<int>> rules_of_head(num_preds);
-  for (std::size_t i = 0; i < program.rules().size(); ++i) {
-    const PredicateId head = program.rules()[i].head.pred;
-    if (head < num_preds) rules_of_head[head].push_back(static_cast<int>(i));
-  }
-
-  while (!work.empty()) {
-    auto [pred, pattern] = std::move(work.back());
-    work.pop_back();
-    for (int r : rules_of_head[pred]) {
-      const Rule& rule = program.rules()[r];
-      std::vector<char> bound(rule.num_vars(), 0);
-      for (std::size_t i = 0;
-           i < rule.head.args.size() && i < pattern.size(); ++i) {
-        const NtTerm& t = rule.head.args[i];
-        if (pattern[i] == 'b' && t.is_variable()) bound[t.id] = 1;
-      }
-      // Re-run SIPS under this head adornment and record each body atom's
-      // entry pattern before its own variables are bound.
-      std::vector<char> running = bound;
-      std::vector<char> used(rule.body.size(), 0);
-      for (std::size_t step = 0; step < rule.body.size(); ++step) {
-        // Inline pick identical to SipsOrder, but we need the entry
-        // pattern per atom, so the loop is unrolled here.
-        int best = -1;
-        double best_score = -1;
-        for (std::size_t pos = 0; pos < rule.body.size(); ++pos) {
-          if (used[pos]) continue;
-          const Atom& atom = rule.body[pos];
-          int positions = 0;
-          int bound_positions = 0;
-          if (atom.temporal()) {
-            ++positions;
-            if (atom.time->ground() || running[atom.time->var]) {
-              ++bound_positions;
-            }
-          }
-          for (const NtTerm& t : atom.args) {
-            ++positions;
-            if (t.is_constant() || running[t.id]) ++bound_positions;
-          }
-          const double score =
-              positions == 0
-                  ? 1.0
-                  : static_cast<double>(bound_positions) / positions;
-          if (score > best_score) {
-            best_score = score;
-            best = static_cast<int>(pos);
-          }
-        }
-        used[best] = 1;
-        const Atom& chosen = rule.body[static_cast<std::size_t>(best)];
-        std::string entry;
-        entry.reserve(chosen.args.size());
-        for (const NtTerm& t : chosen.args) {
-          entry += (t.is_constant() || running[t.id]) ? 'b' : 'f';
-        }
-        if (!rules_of_head[chosen.pred].empty()) {
-          push(chosen.pred, std::move(entry));
-        }
-        if (chosen.temporal() && !chosen.time->ground()) {
-          running[chosen.time->var] = 1;
-        }
-        for (const NtTerm& t : chosen.args) {
-          if (t.is_variable()) running[t.id] = 1;
-        }
-      }
-    }
-  }
-
-  result.patterns.resize(num_preds);
-  for (std::size_t p = 0; p < num_preds; ++p) {
-    result.patterns[p].assign(patterns[p].begin(), patterns[p].end());
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Combined run, diagnostics and hints
+// Combined run and diagnostics
 // ---------------------------------------------------------------------------
 
 std::string TimeBoundToString(int64_t v) {
@@ -621,28 +440,6 @@ FlowAnalysis AnalyzeProgram(const Program& program, const Database& database,
   analysis.offsets =
       RunOffsetAnalysis(program, database, graph, partition, &analysis.stats);
   analysis.degrees = RunDegreeAnalysis(program, database, graph, partition);
-  analysis.adornments = RunAdornmentAnalysis(program, options);
-
-  // Hints for the period detector.
-  const int64_t c = database.MaxTemporalDepth();
-  analysis.hints.bounded = analysis.offsets.bounded;
-  analysis.hints.static_horizon = analysis.offsets.static_horizon;
-  analysis.hints.period_divisor = analysis.offsets.period_divisor;
-  if (analysis.offsets.bounded) {
-    // Window with several trailing period-1 cycles past the last fact.
-    analysis.hints.initial_horizon = SatAdd(analysis.offsets.static_horizon, 8);
-  } else if (analysis.offsets.period_divisor > 1) {
-    // The pattern repeats in multiples of the divisor once the bounded part
-    // has stabilised; budget the detector's min_cycles worth of slack.
-    const int64_t base = std::max(c, analysis.offsets.static_horizon);
-    analysis.hints.initial_horizon =
-        SatAdd(base, 4 * analysis.offsets.period_divisor + 8);
-  }
-  if (analysis.hints.initial_horizon < 0 ||
-      analysis.hints.initial_horizon > options.max_horizon_hint) {
-    analysis.hints.initial_horizon =
-        analysis.hints.initial_horizon < 0 ? 0 : options.max_horizon_hint;
-  }
 
   // A-series diagnostics.
   std::vector<Diagnostic>& out = analysis.diagnostics;
@@ -702,33 +499,6 @@ FlowAnalysis AnalyzeProgram(const Program& program, const Database& database,
       "per-timestep least-model size is O(n^" +
           std::to_string(analysis.degrees.program_degree) +
           ") in the database size measure n"));
-  for (const std::string& name : options.roots) {
-    const PredicateId p = vocab.FindPredicate(name);
-    if (p == kInvalidPredicate || p >= vocab.num_predicates()) continue;
-    std::string pats;
-    for (const std::string& pattern : analysis.adornments.patterns[p]) {
-      if (!pats.empty()) pats += ", ";
-      pats += pattern.empty() ? "()" : pattern;
-    }
-    out.push_back(MakeProgramDiagnostic(
-        Severity::kNote, flow_code::kBindingPatterns,
-        "query root '" + name + "' is evaluated under binding pattern(s) {" +
-            pats + "}"));
-  }
-  for (std::size_t i = 0; i < analysis.adornments.priors.size(); ++i) {
-    const std::vector<uint32_t>& order = analysis.adornments.priors[i];
-    if (order.empty()) continue;
-    std::string text;
-    for (uint32_t pos : order) {
-      if (!text.empty()) text += ", ";
-      text += std::to_string(pos);
-    }
-    out.push_back(MakeRuleDiagnostic(
-        program, static_cast<int>(i), Severity::kNote,
-        flow_code::kJoinOrderPrior,
-        "static join-order prior [" + text +
-            "] differs from the source order"));
-  }
   SortDiagnostics(&out);
   return analysis;
 }
@@ -740,9 +510,6 @@ const std::vector<LintPassInfo>& FlowPassRegistry() {
        "bounds"},
       {"flow-degree", "A005,A006",
        "worst-case polynomial degree per predicate (per-timestep O(n^k))"},
-      {"flow-adorn", "A007,A008",
-       "binding-pattern propagation from query roots; static join-order "
-       "priors"},
   };
   return kPasses;
 }
@@ -754,24 +521,13 @@ std::string FlowAnalysis::Summary(const Program& program) const {
   out += offsets.bounded ? "yes" : "no";
   out += "\n  static horizon: " + std::to_string(offsets.static_horizon);
   out += "\n  period divisor: " + std::to_string(offsets.period_divisor);
-  out += "\n  initial-horizon hint: " + std::to_string(hints.initial_horizon);
   out += "\n  program degree: O(n^" + std::to_string(degrees.program_degree) +
          ")\n  predicates:\n";
   for (std::size_t p = 0; p < vocab.num_predicates(); ++p) {
     const PredicateInfo& info = vocab.predicate(p);
     out += "    " + info.name + ": last_time=" +
            TimeBoundToString(offsets.last_time[p]) +
-           " degree=" + std::to_string(degrees.degree[p]);
-    if (!adornments.patterns[p].empty()) {
-      out += " patterns=";
-      bool first = true;
-      for (const std::string& pattern : adornments.patterns[p]) {
-        if (!first) out += "|";
-        first = false;
-        out += pattern.empty() ? "()" : pattern;
-      }
-    }
-    out += "\n";
+           " degree=" + std::to_string(degrees.degree[p]) + "\n";
   }
   return out;
 }
@@ -783,8 +539,6 @@ std::string FlowAnalysis::ToJson(const Program& program) const {
   out += offsets.bounded ? "true" : "false";
   out += ",\"static_horizon\":" + std::to_string(offsets.static_horizon);
   out += ",\"period_divisor\":" + std::to_string(offsets.period_divisor);
-  out +=
-      ",\"initial_horizon_hint\":" + std::to_string(hints.initial_horizon);
   out += ",\"program_degree\":" + std::to_string(degrees.program_degree);
   out += ",\"predicates\":[";
   for (std::size_t p = 0; p < vocab.num_predicates(); ++p) {
@@ -801,15 +555,7 @@ std::string FlowAnalysis::ToJson(const Program& program) const {
     } else {
       out += std::to_string(offsets.last_time[p]);
     }
-    out += ",\"degree\":" + std::to_string(degrees.degree[p]);
-    out += ",\"patterns\":[";
-    for (std::size_t k = 0; k < adornments.patterns[p].size(); ++k) {
-      if (k > 0) out += ",";
-      out += '"';
-      out += JsonEscape(adornments.patterns[p][k]);
-      out += '"';
-    }
-    out += "]}";
+    out += ",\"degree\":" + std::to_string(degrees.degree[p]) + "}";
   }
   out += "],\"sccs\":[";
   for (std::size_t i = 0; i < offsets.sccs.size(); ++i) {
@@ -827,19 +573,6 @@ std::string FlowAnalysis::ToJson(const Program& program) const {
     out += scc.bounded ? "true" : "false";
     out += ",\"self_delay_period\":" + std::to_string(scc.self_delay_period);
     out += "}";
-  }
-  out += "],\"priors\":[";
-  bool first = true;
-  for (std::size_t i = 0; i < adornments.priors.size(); ++i) {
-    if (adornments.priors[i].empty()) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "{\"rule\":" + std::to_string(i) + ",\"order\":[";
-    for (std::size_t k = 0; k < adornments.priors[i].size(); ++k) {
-      if (k > 0) out += ",";
-      out += std::to_string(adornments.priors[i][k]);
-    }
-    out += "]}";
   }
   out += "],\"diagnostics\":" + DiagnosticsToJson(diagnostics) + "}";
   return out;

@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/depgraph.h"
@@ -18,7 +17,7 @@ namespace chronolog {
 // ---------------------------------------------------------------------------
 // chronolog_flow: SCC-ordered lattice-fixpoint dataflow over the predicate
 // dependency graph (the induction on level numbers behind Theorem 6.5, run
-// as a static analysis). Three concrete analyses ride on one framework:
+// as a static analysis). Two concrete analyses ride on one framework:
 //
 //   * temporal-offset analysis — per-rule head/body time deltas propagated
 //     as difference constraints per SCC; yields a sound upper bound on the
@@ -26,14 +25,12 @@ namespace chronolog {
 //     model's minimal period (A001-A004);
 //   * polynomial degree analysis — a worst-case exponent k per predicate
 //     such that the per-timestep relation holds O(n^k) tuples in the
-//     database size measure n (A005, A006);
-//   * binding-pattern (adornment) analysis — bound/free propagation from
-//     query roots, exporting the static (SIPS) join order of each rule
-//     (A007, A008).
+//     database size measure n (A005, A006).
 //
 // Every result is a diagnostic: evaluation never reads it. The results
 // surface through `chronolog-lint --analyze`, `GET /analyze` and
-// TemporalDatabase::analysis().
+// `POST /explain`; tests/flow_soundness_test.cc checks each claim against
+// the model the engine builds.
 // ---------------------------------------------------------------------------
 
 /// Rules of a program grouped by the dependency-graph component of their
@@ -75,8 +72,7 @@ struct SccFixpointStats {
 /// starting above the least fixpoint, every such pass stays above it, so
 /// accepting any prefix of the descent is sound.
 SccFixpointStats SolveSccFixpoint(
-    const Program& program, const DependencyGraph& graph,
-    const SccRulePartition& partition,
+    const DependencyGraph& graph, const SccRulePartition& partition,
     const std::function<bool(int rule_index)>& apply_rule,
     const std::function<bool(PredicateId)>& widen,
     const std::function<void(int component)>& narrow_component = nullptr);
@@ -141,58 +137,19 @@ struct DegreeResult {
 };
 
 // ---------------------------------------------------------------------------
-// Analysis 3: binding patterns (adornments).
-// ---------------------------------------------------------------------------
-
-/// Static join-order priors, indexed like Program::rules(): for rule i,
-/// priors[i] is the preferred body-atom evaluation order (source positions),
-/// or empty for "no preference".
-using JoinOrderPriors = std::vector<std::vector<uint32_t>>;
-
-struct AdornmentResult {
-  /// Per predicate, the distinct binding patterns ('b'/'f' per non-temporal
-  /// argument, most-bound first) reachable from the roots. Predicates never
-  /// reached carry no patterns.
-  std::vector<std::vector<std::string>> patterns;
-  /// Per rule (indexed like Program::rules()), the statically preferred
-  /// body-atom evaluation order; empty = source order / no preference.
-  JoinOrderPriors priors;
-};
-
-// ---------------------------------------------------------------------------
 // The combined run.
 // ---------------------------------------------------------------------------
 
-/// Summary bounds derived from the offset analysis. `initial_horizon` is the
-/// predicted stabilization window of the doubling detector (0 = no
-/// prediction); it is reported, never applied.
-struct FlowHints {
-  int64_t initial_horizon = 0;
-  int64_t period_divisor = 1;
-  bool bounded = false;
-  int64_t static_horizon = 0;
-};
-
 struct FlowOptions {
-  /// Adornment roots (predicate names). Unknown names are ignored here (the
-  /// lint reachability pass reports them as L013); empty = every derived
-  /// predicate with an all-free pattern, so join-order priors exist even
-  /// without an explicit query.
-  std::vector<std::string> roots;
   /// Degree budget: predicates whose proven degree exceeds it get an A005
   /// warning.
   int degree_budget = 8;
-  /// Cap applied to the exported initial-horizon hint (the detector's own
-  /// default max_horizon).
-  int64_t max_horizon_hint = 1 << 20;
 };
 
 /// The combined chronolog_flow result over one program + database.
 struct FlowAnalysis {
   TemporalOffsetResult offsets;
   DegreeResult degrees;
-  AdornmentResult adornments;
-  FlowHints hints;
   /// A-series diagnostics (sorted, same contract as lint diagnostics).
   std::vector<Diagnostic> diagnostics;
   SccFixpointStats stats;
@@ -200,12 +157,12 @@ struct FlowAnalysis {
   /// Human-readable analysis report (one block per analysis).
   std::string Summary(const Program& program) const;
   /// {"bounded":...,"static_horizon":...,"period_divisor":...,
-  ///  "initial_horizon_hint":...,"program_degree":...,"predicates":[...],
-  ///  "sccs":[...],"priors":[...],"diagnostics":[...]}
+  ///  "program_degree":...,"predicates":[...],"sccs":[...],
+  ///  "diagnostics":[...]}
   std::string ToJson(const Program& program) const;
 };
 
-/// Runs all three analyses. Purely static (no model construction); linear
+/// Runs both analyses. Purely static (no model construction); linear
 /// in the program size up to the bounded SCC fixpoints.
 FlowAnalysis AnalyzeProgram(const Program& program, const Database& database,
                             const FlowOptions& options = {});

@@ -38,6 +38,7 @@ inline constexpr const char* kParseError = "P001";           // error
 
 /// Stable diagnostic codes of the chronolog_flow static analyses
 /// (analysis/dataflow.h). Same contract as the L-series: never renumber.
+/// A007/A008 belonged to a deleted binding-pattern pass; do not reuse them.
 namespace flow_code {
 inline constexpr const char* kOffsetCycle = "A001";      // note
 inline constexpr const char* kUnboundedGrowth = "A002";  // warning
@@ -45,8 +46,6 @@ inline constexpr const char* kStaticHorizon = "A003";    // note
 inline constexpr const char* kPeriodDivisor = "A004";    // note
 inline constexpr const char* kDegreeBudget = "A005";     // warning
 inline constexpr const char* kProgramDegree = "A006";    // note
-inline constexpr const char* kBindingPatterns = "A007";  // note
-inline constexpr const char* kJoinOrderPrior = "A008";   // note
 }  // namespace flow_code
 
 /// A source span resolved against the owning program's unit table:

@@ -76,20 +76,6 @@ Result<InflationaryReport> TemporalDatabase::inflationary() {
   return *inflationary_;
 }
 
-const FlowAnalysis& TemporalDatabase::analysis() {
-  if (analysis_ == nullptr) {
-    analysis_ = std::make_unique<FlowAnalysis>(
-        AnalyzeProgram(unit_.program, unit_.database, options_.flow));
-    EngineLog(LogLevel::kInfo, "engine.analysis", options_)
-        .Bool("bounded", analysis_->hints.bounded)
-        .Int("static_horizon", analysis_->hints.static_horizon)
-        .Int("period_divisor", analysis_->hints.period_divisor)
-        .Int("initial_horizon_hint", analysis_->hints.initial_horizon)
-        .Int("program_degree", analysis_->degrees.program_degree);
-  }
-  return *analysis_;
-}
-
 Result<const RelationalSpecification*> TemporalDatabase::specification() {
   if (!spec_.has_value()) {
     const auto start = std::chrono::steady_clock::now();

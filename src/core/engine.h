@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "analysis/classify.h"
-#include "analysis/dataflow.h"
 #include "analysis/inflationary.h"
 #include "analysis/lint.h"
 #include "ast/parser.h"
@@ -43,9 +42,6 @@ struct EngineOptions {
   LintLevel lint_level = LintLevel::kOff;
   /// Pass configuration used when `lint_level != kOff`.
   LintOptions lint;
-  /// Pass configuration for the flow analyses (roots, degree budget) run by
-  /// TemporalDatabase::analysis().
-  FlowOptions flow;
   /// Build the chronolog_obs observability layer for this database: the
   /// engine owns a MetricsRegistry + TraceBuffer and wires them through
   /// every evaluator it drives (specification builds, inflationary checks,
@@ -105,10 +101,6 @@ class TemporalDatabase {
 
   /// Theorem 5.2 inflationary verdict (computed once, cached).
   Result<InflationaryReport> inflationary();
-
-  /// The chronolog_flow static analysis (computed once, cached). A
-  /// diagnostic only: evaluation never reads it.
-  const FlowAnalysis& analysis();
 
   /// The relational specification `(T, B, W)` of the least model (built
   /// once, cached). May fail with kResourceExhausted when the period
@@ -183,9 +175,6 @@ class TemporalDatabase {
   std::unique_ptr<TraceBuffer> trace_;
   std::optional<ProgramClassification> classification_;
   std::optional<InflationaryReport> inflationary_;
-  // Heap-allocated so the reference analysis() returns stays valid across
-  // moves of this object (same reasoning as the metrics sinks).
-  std::unique_ptr<FlowAnalysis> analysis_;
   std::optional<RelationalSpecification> spec_;
   SpecificationBuildInfo spec_info_;
 };

@@ -12,18 +12,18 @@ namespace chronolog {
 namespace {
 
 /// Shared closed-formula evaluator, parameterised by the atom oracle and the
-/// two quantification domains.
+/// two quantification domains. The temporal domain is the range
+/// `[0, num_times)`.
 class Evaluator {
  public:
   Evaluator(const Query& query,
-            std::function<bool(const GroundAtom&)> oracle,
-            std::vector<int64_t> temporal_domain,
+            std::function<bool(const GroundAtom&)> oracle, int64_t num_times,
             std::vector<SymbolId> constant_domain, bool allow_equality,
             std::optional<std::chrono::steady_clock::time_point> deadline =
                 std::nullopt)
       : query_(query),
         oracle_(std::move(oracle)),
-        temporal_domain_(std::move(temporal_domain)),
+        num_times_(num_times),
         constant_domain_(std::move(constant_domain)),
         allow_equality_(allow_equality),
         deadline_(deadline),
@@ -89,7 +89,7 @@ class Evaluator {
       case QueryKind::kForall: {
         const bool exists = node.kind == QueryKind::kExists;
         if (query_.temporal_vars[node.var]) {
-          for (int64_t t : temporal_domain_) {
+          for (int64_t t = 0; t < num_times_; ++t) {
             values_[node.var] = QueryValue{true, t, 0};
             if (Eval(*node.left) == exists) return exists;
             if (aborted_) return false;
@@ -107,9 +107,7 @@ class Evaluator {
     return false;
   }
 
-  const std::vector<int64_t>& temporal_domain() const {
-    return temporal_domain_;
-  }
+  int64_t num_times() const { return num_times_; }
   const std::vector<SymbolId>& constant_domain() const {
     return constant_domain_;
   }
@@ -128,7 +126,7 @@ class Evaluator {
 
   const Query& query_;
   std::function<bool(const GroundAtom&)> oracle_;
-  std::vector<int64_t> temporal_domain_;
+  int64_t num_times_;
   std::vector<SymbolId> constant_domain_;
   bool allow_equality_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
@@ -204,7 +202,7 @@ Result<QueryAnswer> Run(const Query& query, Evaluator evaluator,
     }
     VarId v = query.free_vars[i];
     if (query.temporal_vars[v]) {
-      for (int64_t t : evaluator.temporal_domain()) {
+      for (int64_t t = 0; t < evaluator.num_times(); ++t) {
         if (stop) return;
         row[i] = QueryValue{true, t, 0};
         evaluator.Bind(v, row[i]);
@@ -294,11 +292,6 @@ Result<QueryAnswer> EvaluateQueryOverSpec(
   TraceSpan span(options.trace, "query.eval");
   PhaseTimer latency_timer(latency_hist != nullptr, nullptr, latency_hist);
 
-  std::vector<int64_t> temporal_domain;
-  temporal_domain.reserve(static_cast<std::size_t>(spec.num_representatives()));
-  for (int64_t t = 0; t < spec.num_representatives(); ++t) {
-    temporal_domain.push_back(t);
-  }
   // Per-request counters accumulate unconditionally (the statement store
   // and slow-query log consume them even when no registry is attached); the
   // global `query.*` counters ride along when metrics are on.
@@ -319,7 +312,7 @@ Result<QueryAnswer> EvaluateQueryOverSpec(
     }
     return spec.Ask(atom);
   };
-  Evaluator evaluator(query, oracle, std::move(temporal_domain),
+  Evaluator evaluator(query, oracle, spec.num_representatives(),
                       ActiveConstants(query, spec.primary()),
                       /*allow_equality=*/false, options.deadline);
   Result<QueryAnswer> answer = Run(query, std::move(evaluator),
@@ -344,14 +337,11 @@ Result<QueryAnswer> EvaluateQueryOverSpec(
 Result<QueryAnswer> EvaluateQueryOverModel(const Query& query,
                                            const Interpretation& model,
                                            int64_t temporal_horizon) {
-  std::vector<int64_t> temporal_domain;
-  temporal_domain.reserve(static_cast<std::size_t>(temporal_horizon) + 1);
-  for (int64_t t = 0; t <= temporal_horizon; ++t) {
-    temporal_domain.push_back(t);
-  }
+  // Times [0, temporal_horizon]; a negative horizon leaves the domain empty.
+  const int64_t num_times = std::max<int64_t>(temporal_horizon, -1) + 1;
   Evaluator evaluator(
       query, [&model](const GroundAtom& atom) { return model.Contains(atom); },
-      std::move(temporal_domain), ActiveConstants(query, model),
+      num_times, ActiveConstants(query, model),
       /*allow_equality=*/true);
   return Run(query, std::move(evaluator), /*rewrite_lhs=*/-1, /*rewrite_p=*/0);
 }

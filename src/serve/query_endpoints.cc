@@ -441,11 +441,11 @@ void RegisterQueryEndpoints(HttpServer& server,
            ",\"c\":" + std::to_string(spec->c()) + ",\"representatives\":" +
            std::to_string(spec->num_representatives()) + "}";
     out += ",\"analysis\":{\"bounded\":";
-    out += analysis.hints.bounded ? "true" : "false";
+    out += analysis.offsets.bounded ? "true" : "false";
     out += ",\"static_horizon\":" +
-           std::to_string(analysis.hints.static_horizon) +
+           std::to_string(analysis.offsets.static_horizon) +
            ",\"period_divisor\":" +
-           std::to_string(analysis.hints.period_divisor) +
+           std::to_string(analysis.offsets.period_divisor) +
            ",\"program_degree\":" +
            std::to_string(analysis.degrees.program_degree) + "}";
     // Join plans the spec build actually executed (exported from the

@@ -53,7 +53,7 @@ struct QueryServiceOptions {
 ///   GET /databases   registry contents with per-database spec sizes.
 ///   GET /analyze     chronolog_flow static analysis of one database
 ///                    (`?db=NAME`, default "default"): offset bounds,
-///                    degrees, binding patterns, A-series diagnostics.
+///                    degrees, A-series diagnostics.
 ///                    404 unknown database.
 ///   GET /statements  per-shape statement statistics of one database
 ///                    (`?db=NAME`, default "default"; `&reset=1` starts a

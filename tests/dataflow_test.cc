@@ -1,6 +1,6 @@
-// chronolog_flow tests: the SCC-ordered dataflow framework and its three
-// analyses (temporal offsets, polynomial degree, binding patterns), the
-// exported detection hints and the A-series diagnostics.
+// chronolog_flow tests: the SCC-ordered dataflow framework, its two
+// analyses (temporal offsets, polynomial degree) and the A-series
+// diagnostics.
 
 #include <gtest/gtest.h>
 
@@ -56,9 +56,6 @@ TEST(FlowOffsetTest, BoundedChainGetsFiniteHorizonAndHint) {
   EXPECT_EQ(analysis.offsets.last_time[Pred(unit, "stage")], 3);
   EXPECT_EQ(analysis.offsets.last_time[Pred(unit, "done")], 5);
   EXPECT_EQ(analysis.offsets.period_divisor, 1);
-  // Bounded hint: the predicted horizon plus trailing slack.
-  EXPECT_TRUE(analysis.hints.bounded);
-  EXPECT_EQ(analysis.hints.initial_horizon, 5 + 8);
   EXPECT_TRUE(HasCode(analysis, flow_code::kStaticHorizon));
   EXPECT_FALSE(HasCode(analysis, flow_code::kUnboundedGrowth));
 }
@@ -95,8 +92,6 @@ TEST(FlowOffsetTest, EvenProgramClaimsSelfDelayPeriodTwo) {
   EXPECT_TRUE(HasCode(analysis, flow_code::kPeriodDivisor));
   // A certified periodic SCC is not flagged as structureless growth.
   EXPECT_FALSE(HasCode(analysis, flow_code::kUnboundedGrowth));
-  // Unbounded-with-divisor hint: c + detector slack for several cycles.
-  EXPECT_EQ(analysis.hints.initial_horizon, 0 + 4 * 2 + 8);
 }
 
 TEST(FlowOffsetTest, BothParitySeedsCollapseTheDivisorToOne) {
@@ -205,83 +200,6 @@ TEST(FlowDegreeTest, DegreeIsCappedByTheHeadArity) {
 }
 
 // --------------------------------------------------------------------------
-// Adornment analysis
-// --------------------------------------------------------------------------
-
-TEST(FlowAdornTest, ConstantBoundAtomIsOrderedFirst) {
-  ParsedUnit unit = MustParse(R"(
-    big(a, b).
-    key(b, c).
-    ans(X) :- big(X, Y), key(Y, c).
-  )");
-  FlowAnalysis analysis = Analyze(unit);
-  // SIPS under an all-free head: key (one constant of two positions) beats
-  // big (all free), so the static prior reorders the body.
-  ASSERT_EQ(analysis.adornments.priors.size(), unit.program.rules().size());
-  EXPECT_EQ(analysis.adornments.priors[0], (std::vector<uint32_t>{1, 0}));
-  EXPECT_TRUE(HasCode(analysis, flow_code::kJoinOrderPrior));
-}
-
-TEST(FlowAdornTest, SourceOrderBodiesExportNoPrior) {
-  ParsedUnit unit = MustParse(workload::TransitiveClosureDatalogSource());
-  FlowAnalysis analysis = Analyze(unit);
-  for (const std::vector<uint32_t>& prior : analysis.adornments.priors) {
-    EXPECT_TRUE(prior.empty());
-  }
-  EXPECT_FALSE(HasCode(analysis, flow_code::kJoinOrderPrior));
-}
-
-TEST(FlowAdornTest, PatternsPropagateFromExplicitRoots) {
-  ParsedUnit unit = MustParse(R"(
-    edge(a, b).
-    mid(X, Y) :- edge(X, Y).
-    ans(Y) :- mid(a, Y).
-  )");
-  FlowOptions options;
-  options.roots = {"ans"};
-  FlowAnalysis analysis = Analyze(unit, options);
-  EXPECT_EQ(analysis.adornments.patterns[Pred(unit, "ans")],
-            (std::vector<std::string>{"f"}));
-  // `mid` is consumed with its first argument bound to the constant `a`.
-  EXPECT_EQ(analysis.adornments.patterns[Pred(unit, "mid")],
-            (std::vector<std::string>{"bf"}));
-  // EDB predicates are never adorned (no rules to specialise).
-  EXPECT_TRUE(analysis.adornments.patterns[Pred(unit, "edge")].empty());
-  EXPECT_TRUE(HasCode(analysis, flow_code::kBindingPatterns));
-}
-
-TEST(FlowAdornTest, UnknownRootIsIgnoredWithoutPatterns) {
-  ParsedUnit unit = MustParse(R"(
-    mid(X, Y) :- edge(X, Y).
-    edge(a, b).
-  )");
-  FlowOptions options;
-  options.roots = {"no_such_predicate"};
-  FlowAnalysis analysis = Analyze(unit, options);
-  for (const std::vector<std::string>& patterns :
-       analysis.adornments.patterns) {
-    EXPECT_TRUE(patterns.empty());
-  }
-  EXPECT_FALSE(HasCode(analysis, flow_code::kBindingPatterns));
-}
-
-// --------------------------------------------------------------------------
-// Hints
-// --------------------------------------------------------------------------
-
-TEST(FlowHintsTest, HintIsClampedToTheConfiguredCap) {
-  ParsedUnit unit = MustParse(R"(
-    seed(0).
-    far(T+1000000) :- seed(T).
-  )");
-  FlowOptions options;
-  options.max_horizon_hint = 4096;
-  FlowAnalysis analysis = Analyze(unit, options);
-  EXPECT_TRUE(analysis.offsets.bounded);
-  EXPECT_EQ(analysis.hints.initial_horizon, 4096);
-}
-
-// --------------------------------------------------------------------------
 // Report surfaces
 // --------------------------------------------------------------------------
 
@@ -307,8 +225,7 @@ TEST(FlowReportTest, PassRegistryCoversEveryACode) {
   for (const char* code :
        {flow_code::kOffsetCycle, flow_code::kUnboundedGrowth,
         flow_code::kStaticHorizon, flow_code::kPeriodDivisor,
-        flow_code::kDegreeBudget, flow_code::kProgramDegree,
-        flow_code::kBindingPatterns, flow_code::kJoinOrderPrior}) {
+        flow_code::kDegreeBudget, flow_code::kProgramDegree}) {
     EXPECT_NE(all_codes.find(code), std::string::npos) << code;
   }
 }

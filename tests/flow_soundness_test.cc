@@ -5,13 +5,19 @@
 //
 //   (i)  a statically bounded program has minimal period 1, stabilised no
 //        later than one step past the static horizon;
-//   (ii) the static period divisor divides the detected minimal period.
+//   (ii) the static period divisor divides the detected minimal period;
+//   (iii) no predicate of degree k holds more than n^k facts at any one
+//        time of B (or in its non-temporal relation), n being the larger of
+//        the database's fact count and its number of distinct constants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,8 +65,11 @@ std::vector<NamedProgram> AllPrograms() {
                  workload::DelayChainSource({4, 6})});
   out.push_back({"gen:token_ring_3_4", workload::TokenRingSource({3, 4})});
   out.push_back({"gen:binary_counter_3", workload::BinaryCounterSource(3)});
-  out.push_back({"gen:path_cycle4", workload::PathProgramSource() +
-                                        workload::CycleGraphFactsSource(4)});
+  for (int n : {4, 8, 16, 32}) {
+    out.push_back({"gen:path_cycle" + std::to_string(n),
+                   workload::PathProgramSource() +
+                       workload::CycleGraphFactsSource(n)});
+  }
   out.push_back({"gen:ski_small",
                  workload::SkiScheduleSource(/*resorts=*/2, /*year_len=*/12,
                                              /*winter_len=*/5,
@@ -72,6 +81,26 @@ std::vector<NamedProgram> AllPrograms() {
                  workload::TransitiveClosureDatalogSource() +
                      "edge(a, b).\nedge(b, c).\nedge(c, a).\n"});
   return out;
+}
+
+/// n^k, saturating at the largest uint64_t.
+uint64_t SaturatingPower(uint64_t n, int k) {
+  uint64_t result = 1;
+  for (int i = 0; i < k; ++i) {
+    if (n != 0 && result > UINT64_MAX / n) return UINT64_MAX;
+    result *= n;
+  }
+  return result;
+}
+
+/// The database size measure n of the degree analysis: the larger of the
+/// number of facts and the number of distinct constants they mention.
+uint64_t DatabaseSizeMeasure(const Database& database) {
+  std::set<SymbolId> constants;
+  for (const GroundAtom& fact : database.facts()) {
+    constants.insert(fact.args.begin(), fact.args.end());
+  }
+  return std::max(database.facts().size(), constants.size());
 }
 
 TEST(FlowSoundnessTest, StaticBoundsAgreeWithTheDynamicDetector) {
@@ -101,19 +130,36 @@ TEST(FlowSoundnessTest, StaticBoundsAgreeWithTheDynamicDetector) {
     EXPECT_EQ(period.p % analysis.offsets.period_divisor, 0)
         << "detected p=" << period.p << " static divisor="
         << analysis.offsets.period_divisor;
+
+    // (iii) The degree claim: |p at one time| <= n^k. B holds every
+    // representative time, so its cells are all the sizes the model takes.
+    std::map<std::pair<PredicateId, int64_t>, uint64_t> cell_sizes;
+    baseline->primary().ForEach(
+        [&](PredicateId pred, int64_t time, const Tuple&) {
+          ++cell_sizes[{pred, time}];
+        });
+    const uint64_t n = DatabaseSizeMeasure(unit->database);
+    for (const auto& [cell, size] : cell_sizes) {
+      const int k = analysis.degrees.degree[cell.first];
+      EXPECT_LE(size, SaturatingPower(n, k))
+          << "predicate '" << unit->program.vocab().predicate(cell.first).name
+          << "' at time " << cell.second << ": degree " << k << ", n = " << n;
+    }
   }
 }
 
 TEST(FlowSoundnessTest, EngineAnalysisDivisorDividesThePeriod) {
   // End-to-end through the engine facade. The delay chain is a certified
   // self-delay workload: the divisor its delay structure implies —
-  // lcm(4, 6) = 12 — is visible through the lazily cached analysis accessor
-  // and divides the period of the specification the engine builds.
+  // lcm(4, 6) = 12 — divides the period of the specification the engine
+  // builds.
   auto tdd = TemporalDatabase::FromSource(workload::DelayChainSource({4, 6}));
   ASSERT_TRUE(tdd.ok()) << tdd.status();
   auto spec = tdd->specification();
   ASSERT_TRUE(spec.ok()) << spec.status();
-  EXPECT_EQ(tdd->analysis().hints.period_divisor, 12);
+  EXPECT_EQ(AnalyzeProgram(tdd->program(), tdd->database())
+                .offsets.period_divisor,
+            12);
   EXPECT_EQ((*spec)->period().p % 12, 0);
 }
 

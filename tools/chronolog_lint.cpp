@@ -9,9 +9,9 @@
 // file:line:column span and a stable code (L001..L013, P001).
 //
 // With --analyze it additionally runs the chronolog_flow static analyses
-// (src/analysis/dataflow.h): temporal-offset bounds, polynomial degrees
-// and binding-pattern join-order priors, reported as A001..A008
-// diagnostics plus a summary block (text) or an "analysis" object (JSON).
+// (src/analysis/dataflow.h): temporal-offset bounds and polynomial
+// degrees, reported as A001..A006 diagnostics plus a summary block (text)
+// or an "analysis" object (JSON).
 //
 // Usage:
 //   chronolog-lint [flags] input.tdl [more.tdl ...]
@@ -21,17 +21,17 @@
 //   --strict              promote warnings to errors for the exit code
 //   --no-classify         skip the classification passes (L009-L011)
 //   --check-inflationary  run the Theorem 5.2 procedure (builds models)
-//   --analyze             run the chronolog_flow analyses (A001-A008)
+//   --analyze             run the chronolog_flow analyses (A001-A006)
 //   --degree-budget=N     degree budget for A005 warnings (default 8)
-//   --root=PRED           query root for reachability and adornments
+//   --root=PRED           query root for reachability only (L008, L013)
 //   --disable=PASS        skip a pass by name (repeatable)
 //   --list-passes         print the pass registry and exit
 //
 // Exit codes: 0 clean (or warnings without --strict), 1 usage/IO error,
 // 2 parse error, 3 lint errors (or warnings under --strict).
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -58,9 +58,9 @@ void PrintUsage() {
       "  --strict              promote warnings to errors (exit code)\n"
       "  --no-classify         skip classification passes (L009-L011)\n"
       "  --check-inflationary  run the Theorem 5.2 decision procedure\n"
-      "  --analyze             run the chronolog_flow analyses (A001-A008)\n"
+      "  --analyze             run the chronolog_flow analyses (A001-A006)\n"
       "  --degree-budget=N     degree budget for A005 warnings (default 8)\n"
-      "  --root=PRED           query root for reachability and adornments\n"
+      "  --root=PRED           query root for reachability only (L008, L013)\n"
       "  --disable=PASS        skip a pass by name (repeatable)\n"
       "  --list-passes         print the pass registry and exit\n");
 }
@@ -104,17 +104,20 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--analyze") == 0) {
       analyze = true;
     } else if (std::strncmp(arg, "--degree-budget=", 16) == 0) {
-      char* end = nullptr;
-      const long budget = std::strtol(arg + 16, &end, 10);
-      if (end == arg + 16 || *end != '\0' || budget < 0) {
+      // The whole value must be a non-negative int: from_chars rejects
+      // overflow instead of wrapping, and a leading '+', blanks or suffixes.
+      const char* value = arg + 16;
+      const char* end = value + std::strlen(value);
+      int budget = 0;
+      const auto [ptr, ec] = std::from_chars(value, end, budget);
+      if (ec != std::errc() || ptr != end || budget < 0) {
         chronolog::LogError("lint.bad_flag_value").Str("flag", arg);
         PrintUsage();
         return kExitUsage;
       }
-      flow_options.degree_budget = static_cast<int>(budget);
+      flow_options.degree_budget = budget;
     } else if (std::strncmp(arg, "--root=", 7) == 0) {
       options.roots.push_back(arg + 7);
-      flow_options.roots.push_back(arg + 7);
     } else if (std::strncmp(arg, "--disable=", 10) == 0) {
       options.disabled_passes.push_back(arg + 10);
     } else if (std::strcmp(arg, "--list-passes") == 0) {
