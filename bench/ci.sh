@@ -110,7 +110,8 @@ echo "== perfbench smoke test =="
 python3 perfbench/smoke_test.py
 
 # Work-counter gate: the traced materialize workload (seed 7) must do
-# exactly the pinned amount of evaluation work. These counts are
+# exactly the pinned amount of evaluation and period-detection work (the
+# detectors' horizons and doubling probes). These counts are
 # machine-independent and do not depend on the run length, so they are
 # gated exactly where wall time cannot be. A change that alters the work
 # done (a new join order, a different fixpoint schedule) updates the pins
@@ -129,7 +130,9 @@ assert result["correct"] and result["failed"] == 0, result
 metrics = {name: m["value"] for name, m in result["metrics"].items()}
 EXACT = {"eval.match_steps": 7385676,
          "eval.derived": 5406462,
-         "eval.inserted": 1928996}
+         "eval.inserted": 1928996,
+         "spec.detection_horizon": 63909,
+         "period.doublings": 10}
 AT_MOST = {"eval.allocs_per_derived": 0.4861}
 failures = []
 for name, pinned in EXACT.items():

@@ -212,8 +212,10 @@ int main(int argc, char** argv) {
           if (row[i].temporal) {
             std::printf("%lld", static_cast<long long>(row[i].time));
           } else {
-            std::printf("%s",
-                        engine->vocab().ConstantName(row[i].constant).c_str());
+            std::printf("%s", engine->vocab()
+                                  .ConstantName(row[i].constant,
+                                                answer->local_constants)
+                                  .c_str());
           }
         }
         std::printf("\n");

@@ -132,9 +132,9 @@ Result<IPeriodResult> ComputeIPeriod(const Program& program,
         }
       }
     }
-    ForwardOptions fwd;
-    fwd.max_steps = options.max_horizon;
-    CHRONOLOG_ASSIGN_OR_RETURN(ForwardResult run,
+    PeriodDetectionOptions fwd;
+    fwd.max_horizon = options.max_horizon;
+    CHRONOLOG_ASSIGN_OR_RETURN(PeriodDetection run,
                                ForwardSimulate(program, db, fwd));
     ++result.simulations;
     max_abs_start =

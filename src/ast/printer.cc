@@ -37,8 +37,9 @@ std::string AtomToString(const Atom& atom, const Vocabulary& vocab,
   return out;
 }
 
-std::string GroundAtomToString(const GroundAtom& atom,
-                               const Vocabulary& vocab) {
+std::string GroundAtomToString(
+    const GroundAtom& atom, const Vocabulary& vocab,
+    const std::vector<std::string>& local_constants) {
   const PredicateInfo& info = vocab.predicate(atom.pred);
   std::string out = info.name;
   if (info.written_arity() == 0) return out;
@@ -51,7 +52,7 @@ std::string GroundAtomToString(const GroundAtom& atom,
   for (SymbolId c : atom.args) {
     if (!first) out += ", ";
     first = false;
-    out += vocab.ConstantName(c);
+    out += vocab.ConstantName(c, local_constants);
   }
   out += ")";
   return out;

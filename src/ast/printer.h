@@ -18,7 +18,11 @@ std::string TemporalTermToString(const TemporalTerm& term,
 std::string AtomToString(const Atom& atom, const Vocabulary& vocab,
                          const std::vector<std::string>& var_names);
 
-std::string GroundAtomToString(const GroundAtom& atom, const Vocabulary& vocab);
+/// `local_constants` names the query-local constants (kFirstLocalConstant
+/// on) of an atom parsed from a query.
+std::string GroundAtomToString(
+    const GroundAtom& atom, const Vocabulary& vocab,
+    const std::vector<std::string>& local_constants = {});
 
 std::string RuleToString(const Rule& rule, const Vocabulary& vocab);
 

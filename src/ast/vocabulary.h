@@ -30,6 +30,11 @@ struct PredicateInfo {
   uint32_t written_arity() const { return arity + (is_temporal ? 1u : 0u); }
 };
 
+/// Ids from here on are never a vocabulary's. A parsed query names with
+/// them the constants its vocabulary does not know (query-local constants,
+/// which no fact holds), so parsing never writes to a shared vocabulary.
+inline constexpr SymbolId kFirstLocalConstant = SymbolId{1} << 31;
+
 /// Shared name space of a temporal deductive database: interned constants and
 /// the predicate signature table. A Program, Database and queries over them
 /// all reference one Vocabulary.
@@ -44,8 +49,15 @@ class Vocabulary {
   SymbolId FindConstant(std::string_view name) const {
     return constants_.Find(name);
   }
-  const std::string& ConstantName(SymbolId id) const {
-    return constants_.Name(id);
+  /// Name of `id`: this vocabulary's constant, or from kFirstLocalConstant
+  /// on the query-local constant `local[id - kFirstLocalConstant]`, where
+  /// `local` is the Query/QueryAnswer::local_constants of the query that
+  /// produced `id`. A local id whose names are not passed has no name here:
+  /// it throws std::out_of_range instead of reading past either table.
+  const std::string& ConstantName(
+      SymbolId id, const std::vector<std::string>& local = {}) const {
+    return id >= kFirstLocalConstant ? local.at(id - kFirstLocalConstant)
+                                     : constants_.Name(id);
   }
   std::size_t num_constants() const { return constants_.size(); }
 

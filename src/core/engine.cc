@@ -147,18 +147,26 @@ Result<QueryAnswer> TemporalDatabase::Query(std::string_view query_text,
 }
 
 Result<std::string> TemporalDatabase::Explain(std::string_view ground_atom) {
-  CHRONOLOG_ASSIGN_OR_RETURN(GroundAtom atom,
-                             ParseGroundAtom(ground_atom, vocab()));
+  std::vector<std::string> local_constants;
+  CHRONOLOG_ASSIGN_OR_RETURN(
+      GroundAtom atom,
+      ParseGroundAtom(ground_atom, vocab(), &local_constants));
   CHRONOLOG_ASSIGN_OR_RETURN(const RelationalSpecification* spec,
                              specification());
   std::string prefix;
   if (vocab().predicate(atom.pred).is_temporal) {
     int64_t canonical = spec->Canonicalize(atom.time);
     if (canonical != atom.time) {
-      prefix = GroundAtomToString(atom, vocab()) +
+      prefix = GroundAtomToString(atom, vocab(), local_constants) +
                " rewrites (W) to its representative:\n";
       atom.time = canonical;
     }
+  }
+  if (!local_constants.empty()) {
+    // No fact holds a constant the vocabulary does not know.
+    return NotFoundError("no proof: " +
+                         GroundAtomToString(atom, vocab(), local_constants) +
+                         " is not in the least model");
   }
   // Materialise with provenance over a horizon that covers every proof of
   // atoms within the representative segment (same margin as algorithm BT:

@@ -58,9 +58,9 @@ ProgressivityReport CheckProgressive(const Program& program) {
   return {true, ""};
 }
 
-Result<ForwardResult> ForwardSimulate(const Program& program,
-                                      const Database& db,
-                                      const ForwardOptions& options) {
+Result<PeriodDetection> ForwardSimulate(
+    const Program& program, const Database& db,
+    const PeriodDetectionOptions& options) {
   ProgressivityReport report = CheckProgressive(program);
   if (!report.progressive) {
     return FailedPreconditionError("ForwardSimulate: " + report.reason);
@@ -82,8 +82,8 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   const int64_t c = db.MaxTemporalDepth();
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
-  ForwardResult result{Interpretation(program.vocab_ptr()), Period{}, c, 0,
-                       {}};
+  PeriodDetection result{Period{}, c, 0, Interpretation(program.vocab_ptr()),
+                         /*exact=*/true, {}};
   Interpretation& model = result.model;
   model.InsertDatabase(db);
 
@@ -155,38 +155,22 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
   // Phase 0: the non-temporal part, a plain Datalog fixpoint.
   CHRONOLOG_RETURN_IF_ERROR(close(std::nullopt, /*repeat=*/true));
 
-  // Window detection: start times of previously seen windows of g states,
-  // bucketed by window hash. Each state is hashed once, when its timestep
-  // closes (Interpretation::SnapshotHash), and cached here — no State is
-  // ever extracted during simulation; candidates with equal window hashes
-  // are verified against the live snapshots directly.
+  // Window detection (FindRepeatedWindow): the start time of the latest
+  // window of g states seen per window hash. Each state is hashed once, when
+  // its timestep closes (Interpretation::SnapshotHash), and cached here — no
+  // State is ever extracted during simulation; a candidate with an equal
+  // window hash is verified against the live snapshots directly.
   std::vector<std::size_t> state_hashes;
-  std::unordered_map<std::size_t, std::vector<int64_t>> seen_windows;
-  auto window_hash = [&](int64_t s) {
-    std::size_t seed = static_cast<std::size_t>(g);
-    for (int64_t i = 0; i < g; ++i) {
-      HashCombine(seed, state_hashes[static_cast<std::size_t>(s + i)]);
-    }
-    return seed;
-  };
-  auto windows_equal = [&](int64_t s1, int64_t s2) {
-    for (int64_t i = 0; i < g; ++i) {
-      // Per-state hash first (cheap refutation of window-hash collisions),
-      // then the exact in-place snapshot comparison.
-      if (state_hashes[static_cast<std::size_t>(s1 + i)] !=
-          state_hashes[static_cast<std::size_t>(s2 + i)]) {
-        return false;
-      }
-      if (!model.SnapshotEquals(s1 + i, s2 + i)) return false;
-    }
-    return true;
+  std::unordered_map<std::size_t, int64_t> window_starts;
+  auto snapshots_equal = [&model](int64_t s, int64_t t) {
+    return model.SnapshotEquals(s, t);
   };
 
   for (int64_t t = 0;; ++t) {
-    if (t > options.max_steps) {
+    if (t > options.max_horizon) {
       return ResourceExhaustedError(
-          "ForwardSimulate exceeded its budget (max_steps = " +
-          std::to_string(options.max_steps) +
+          "ForwardSimulate exceeded its budget (max_horizon = " +
+          std::to_string(options.max_horizon) +
           "); the period of this TDD may be exponentially large "
           "(Theorem 3.1)");
     }
@@ -207,39 +191,13 @@ Result<ForwardResult> ForwardSimulate(const Program& program,
     // s >= c+1 evolve deterministically (no database injection past c).
     int64_t s = t - g + 1;  // start of the newest complete window
     if (s < c + 1) continue;
-    std::vector<int64_t>& bucket = seen_windows[window_hash(s)];
-    int64_t s1 = -1;
-    for (int64_t candidate : bucket) {
-      if (windows_equal(candidate, s)) {
-        s1 = candidate;
-        break;
-      }
-    }
-    if (s1 < 0) {
-      // Bound bucket growth. Distinct windows sharing one 64-bit window hash
-      // are genuine collisions (equal windows end the loop), so a long
-      // non-periodic prefix must not be allowed to grow one bucket into an
-      // O(n) probe chain. Capping at a constant and evicting the oldest
-      // start keeps probes O(1); if an evicted start ever was the true cycle
-      // entry, the orbit is deterministic, so its successor windows (stored
-      // in other buckets) still repeat and detection ends at most a few
-      // steps later with the same exact cycle length p.
-      constexpr std::size_t kMaxWindowBucket = 8;
-      if (bucket.size() >= kMaxWindowBucket) bucket.erase(bucket.begin());
-      bucket.push_back(s);
+    int64_t k = 0;
+    int64_t p = 0;
+    if (!FindRepeatedWindow(state_hashes, g, s, &window_starts,
+                            snapshots_equal, &k, &p)) {
       continue;
     }
-
-    // First repeat: cycle entry s1, exact cycle length p.
-    int64_t p = s - s1;
-    // The periodicity may extend below the detection threshold; walk k down
-    // to the minimal start for which M[k] = M[k+p] still holds (hash
-    // inequality refutes in O(1), hash equality is verified in place).
-    int64_t k = s1;
-    while (k > 0 && state_hashes[k - 1] == state_hashes[k - 1 + p] &&
-           model.SnapshotEquals(k - 1, k - 1 + p)) {
-      --k;
-    }
+    // First repeat: cycle entry k, exact cycle length p.
     result.period.b = std::max<int64_t>(0, k - c);
     result.period.p = p;
     ExportPlanReport(evaluators, options.plan_report);

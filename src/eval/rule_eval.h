@@ -38,8 +38,8 @@ struct PlanSlotReport {
 using RulePlanReport = std::vector<std::vector<PlanSlotReport>>;
 
 /// What every bottom-up evaluator shares: the fact budget and the sinks.
-/// Base of FixpointOptions, ForwardOptions, PeriodDetectionOptions and
-/// BtOptions, so a layer hands it down with one slice copy.
+/// Base of FixpointOptions, PeriodDetectionOptions and BtOptions, so a layer
+/// hands it down with one slice copy.
 struct EvalContext {
   /// Exceeding it fails with kResourceExhausted: guards against workloads
   /// that are legitimately too large.

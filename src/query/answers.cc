@@ -103,7 +103,10 @@ std::string QueryAnswerToJson(const QueryAnswer& answer,
       if (row[i].temporal) {
         out += std::to_string(row[i].time);
       } else {
-        out += "\"" + JsonEscape(vocab.ConstantName(row[i].constant)) + "\"";
+        out += "\"" +
+               JsonEscape(vocab.ConstantName(row[i].constant,
+                                             answer.local_constants)) +
+               "\"";
       }
     }
     out += "]";

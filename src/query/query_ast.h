@@ -55,6 +55,9 @@ struct Query {
   std::vector<std::string> var_names;  // indexed by VarId (free + bound)
   std::vector<bool> temporal_vars;     // sort per VarId
   std::vector<VarId> free_vars;        // in first-occurrence order
+  /// Constants the vocabulary does not know, in first-occurrence order;
+  /// entry i has id kFirstLocalConstant + i.
+  std::vector<std::string> local_constants;
 
   bool closed() const { return free_vars.empty(); }
 };

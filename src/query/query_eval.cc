@@ -164,6 +164,7 @@ Result<QueryAnswer> Run(const Query& query, Evaluator evaluator,
   QueryAnswer answer;
   answer.rewrite_lhs = rewrite_lhs;
   answer.rewrite_p = rewrite_p;
+  answer.local_constants = query.local_constants;
   for (VarId v : query.free_vars) {
     answer.free_var_names.push_back(query.var_names[v]);
     answer.free_var_temporal.push_back(query.temporal_vars[v]);
@@ -236,8 +237,9 @@ std::string QueryAnswer::ToString(const Vocabulary& vocab) const {
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += ", ";
       out += free_var_names[i] + " = ";
-      out += row[i].temporal ? std::to_string(row[i].time)
-                             : vocab.ConstantName(row[i].constant);
+      out += row[i].temporal
+                 ? std::to_string(row[i].time)
+                 : vocab.ConstantName(row[i].constant, local_constants);
     }
     out += "\n";
   }

@@ -111,6 +111,9 @@ struct QueryAnswer {
   /// statement-statistics store and the slow-query log read these.
   uint64_t oracle_lookups = 0;
   uint64_t rewrite_steps = 0;
+  /// The query's local constants (Query::local_constants), which answer
+  /// rows may hold; rendering names them.
+  std::vector<std::string> local_constants;
 
   std::string ToString(const Vocabulary& vocab) const;
 };

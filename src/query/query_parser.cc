@@ -25,14 +25,14 @@ bool IsKeyword(const Token& tok, std::string_view kw) {
   return tok.kind == TokenKind::kIdent && tok.text == kw;
 }
 
-/// Recursive-descent query parser. Constants are interned on the fly (an
-/// unknown constant simply never matches); predicates must pre-exist.
+/// Recursive-descent query parser. Predicates must pre-exist; a constant
+/// the vocabulary does not know becomes query-local (it never matches a
+/// fact), so the shared vocabulary is only read.
 class QueryParserImpl {
  public:
   QueryParserImpl(const std::vector<Token>& tokens, const Vocabulary& vocab,
                   Query* query)
-      : tokens_(tokens), vocab_(const_cast<Vocabulary&>(vocab)),
-        query_(query) {}
+      : tokens_(tokens), vocab_(vocab), query_(query) {}
 
   Result<std::unique_ptr<QueryNode>> ParseDisjunction() {
     CHRONOLOG_ASSIGN_OR_RETURN(auto left, ParseConjunction());
@@ -166,7 +166,7 @@ class QueryParserImpl {
         return side;
       case TokenKind::kIdent:
         side.temporal = false;
-        side.nt = NtTerm::Constant(vocab_.InternConstant(tok.text));
+        side.nt = NtTerm::Constant(ConstantId(tok.text));
         ++pos_;
         return side;
       case TokenKind::kVar: {
@@ -298,7 +298,7 @@ class QueryParserImpl {
               At(tok));
         }
         atom->args.push_back(
-            NtTerm::Constant(vocab_.InternConstant(tok.text)));
+            NtTerm::Constant(ConstantId(tok.text)));
         ++pos_;
         return Status::Ok();
       case TokenKind::kVar: {
@@ -330,6 +330,16 @@ class QueryParserImpl {
       default:
         return Unexpected(tok, "a term in '" + where.text + "'");
     }
+  }
+
+  SymbolId ConstantId(const std::string& name) {
+    const SymbolId known = vocab_.FindConstant(name);
+    if (known != kInvalidSymbol) return known;
+    std::vector<std::string>& local = query_->local_constants;
+    auto [it, inserted] = local_ids_.try_emplace(
+        name, kFirstLocalConstant + static_cast<SymbolId>(local.size()));
+    if (inserted) local.push_back(name);
+    return it->second;
   }
 
   VarId NewVar(const std::string& name) {
@@ -369,11 +379,12 @@ class QueryParserImpl {
   }
 
   const std::vector<Token>& tokens_;
-  Vocabulary& vocab_;
+  const Vocabulary& vocab_;
   Query* query_;
   std::size_t pos_ = 0;
   std::vector<std::pair<std::string, VarId>> scopes_;
   std::unordered_map<std::string, VarId> free_;
+  std::unordered_map<std::string, SymbolId> local_ids_;
   std::vector<bool> sort_known_;
 };
 
@@ -392,7 +403,8 @@ Result<Query> ParseQuery(std::string_view source, const Vocabulary& vocab) {
 }
 
 Result<GroundAtom> ParseGroundAtom(std::string_view source,
-                                   const Vocabulary& vocab) {
+                                   const Vocabulary& vocab,
+                                   std::vector<std::string>* local_constants) {
   CHRONOLOG_ASSIGN_OR_RETURN(Query query, ParseQuery(source, vocab));
   if (query.root->kind != QueryKind::kAtom || !query.free_vars.empty()) {
     return InvalidArgumentError("expected a ground atom, got a general query: " +
@@ -414,6 +426,9 @@ Result<GroundAtom> ParseGroundAtom(std::string_view source,
                                   std::string(source));
     }
     ground.args.push_back(t.id);
+  }
+  if (local_constants != nullptr) {
+    *local_constants = std::move(query.local_constants);
   }
   return ground;
 }

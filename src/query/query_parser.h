@@ -2,7 +2,9 @@
 #define CHRONOLOG_QUERY_QUERY_PARSER_H_
 
 #include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "ast/vocabulary.h"
 #include "query/query_ast.h"
@@ -12,7 +14,9 @@ namespace chronolog {
 
 /// Parses a first-order temporal query against an existing vocabulary
 /// (every predicate must already be known; sorts come from the predicate
-/// signatures).
+/// signatures). The vocabulary is only read, so concurrent parses against
+/// one vocabulary are safe: a constant it does not know becomes a
+/// query-local constant (Query::local_constants), which no fact holds.
 ///
 /// Grammar (keywords and symbols interchangeable):
 ///
@@ -38,8 +42,11 @@ Result<Query> ParseQuery(std::string_view source, const Vocabulary& vocab);
 
 /// Parses a single ground atom such as `plane(12, hunter)`; convenience for
 /// yes-no queries through RelationalSpecification::Ask and algorithm BT.
-Result<GroundAtom> ParseGroundAtom(std::string_view source,
-                                   const Vocabulary& vocab);
+/// Unknown constants are query-local, as in ParseQuery; their names go to
+/// `*local_constants` when it is non-null.
+Result<GroundAtom> ParseGroundAtom(
+    std::string_view source, const Vocabulary& vocab,
+    std::vector<std::string>* local_constants = nullptr);
 
 }  // namespace chronolog
 

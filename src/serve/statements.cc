@@ -8,16 +8,6 @@
 
 namespace chronolog {
 
-namespace {
-
-std::string JsonNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
 StatementStats::Shard& StatementStats::ShardFor(std::string_view shape) {
   return shards_[std::hash<std::string_view>{}(shape) % kNumShards];
 }
@@ -98,10 +88,10 @@ std::string StatementStats::ToJson() const {
            ",\"sum\":" + std::to_string(e->eval_ns.sum()) +
            ",\"min\":" + std::to_string(e->eval_ns.min()) +
            ",\"max\":" + std::to_string(e->eval_ns.max()) +
-           ",\"mean\":" + JsonNumber(e->eval_ns.mean()) +
-           ",\"p50\":" + JsonNumber(e->eval_ns.Quantile(0.50)) +
-           ",\"p90\":" + JsonNumber(e->eval_ns.Quantile(0.90)) +
-           ",\"p99\":" + JsonNumber(e->eval_ns.Quantile(0.99)) + "}}";
+           ",\"mean\":" + FormatSignificant(e->eval_ns.mean()) +
+           ",\"p50\":" + FormatSignificant(e->eval_ns.Quantile(0.50)) +
+           ",\"p90\":" + FormatSignificant(e->eval_ns.Quantile(0.90)) +
+           ",\"p99\":" + FormatSignificant(e->eval_ns.Quantile(0.99)) + "}}";
   }
   out += "]}";
   return out;

@@ -8,36 +8,9 @@
 #include "eval/fixpoint.h"
 #include "eval/forward.h"
 #include "storage/interpretation.h"
-#include "storage/state.h"
 #include "util/result.h"
 
 namespace chronolog {
-
-/// Options for minimal-period detection. The fact budget and the sinks come
-/// from the EvalContext base and are handed unchanged to the underlying
-/// fixpoints / forward simulation.
-struct PeriodDetectionOptions : EvalContext {
-  /// Hard ceiling for both detectors; exceeded => kResourceExhausted
-  /// (periods can be exponential in the database size, Theorem 3.1).
-  int64_t max_horizon = 1 << 20;
-};
-
-/// Outcome of period detection: the minimal period of `M_{Z∧D}` and the
-/// least model materialised far enough to build a relational specification.
-/// Per-time states are not materialised (detection reads the model's
-/// snapshot hashes and compares snapshots in place); callers that want them
-/// use ExtractStates(model, 0, horizon).
-struct PeriodDetection {
-  Period period;
-  int64_t c = 0;        // max temporal depth of the database
-  int64_t horizon = 0;  // model materialised on [0...horizon]
-  Interpretation model;
-  /// True when produced by the exact forward detector (progressive
-  /// programs); false when produced by verified doubling, which certifies
-  /// the period on a window of at least two extra cycles but is not a proof.
-  bool exact = true;
-  EvalStats stats;
-};
 
 /// Detects the minimal period `(b, p)` of the least model of `Z ∧ D`.
 ///
@@ -53,50 +26,87 @@ Result<PeriodDetection> DetectPeriod(
     const Program& program, const Database& db,
     const PeriodDetectionOptions& options = {});
 
-/// Incrementally maintained minimal-period scan over the snapshot-hash vector
-/// of a growing (occasionally history-rewritten) model. The
-/// verified-doubling detector keeps one tracker alive across doublings:
-/// instead of re-extracting every state and re-scanning the full window at
-/// each probe, per-period mismatch frontiers are carried forward and only
-/// the hashes from `changed_from` on are re-read.
-///
-/// Hash agreement is necessary but not sufficient for state equality, so the
-/// winning candidate is verified against the live snapshots (VerifyCandidate)
-/// before a caller accepts it; a failed verification (a genuine 64-bit hash
-/// collision) tightens that period's frontier so the scan converges to the
-/// same answer the from-scratch state scan would produce.
-class PeriodCandidateTracker {
- public:
-  /// Refreshes the cached hash vector to cover `M[0...horizon]` of `model`.
-  /// `changed_from` is the smallest time whose snapshot may differ from the
-  /// previous call (`min(prev_horizon + 1, EvalStats::min_new_time)`); when
-  /// it rewrites history (falls below the previously covered horizon), all
-  /// candidate frontiers are invalidated and the next Find re-scans.
-  void Update(const Interpretation& model, int64_t horizon,
-              int64_t changed_from);
+/// The minimal-period scan of verified doubling over the state hashes of
+/// `M[0...n-1]`: the minimal `(k, p)` (absolute start `k`, not yet
+/// normalised by `c`) such that the states at `t` and `t + p` agree for all
+/// `t` in `[k, n-1-p]`, preferring the smallest `p` whose evidence window
+/// spans at least `min_cycles` full cycles; false when no candidate has
+/// enough evidence. States agree as AgreeingSuffixStart decides: by hash,
+/// confirmed by `equal`. With an exact `equal` this is the from-scratch
+/// scan over the states themselves; with a constant `true` it trusts hash
+/// agreement, and the caller verifies the winning candidate in place.
+template <typename Equal>
+bool FindMinimalPeriod(const std::vector<std::size_t>& hashes,
+                       int64_t min_cycles, const Equal& equal, int64_t* k_out,
+                       int64_t* p_out) {
+  const int64_t n = static_cast<int64_t>(hashes.size());
+  for (int64_t p = 1; p <= n / (min_cycles + 1); ++p) {
+    const int64_t k = AgreeingSuffixStart(hashes, p, n - p, equal);
+    if (k == n - p) continue;  // no trailing agreement at all
+    if (n - k >= (min_cycles + 1) * p) {
+      *k_out = k;
+      *p_out = p;
+      return true;
+    }
+  }
+  return false;
+}
 
-  /// Returns the minimal `(k, p)` (absolute start `k`, not yet normalised by
-  /// `c`) such that `hash[t] == hash[t+p]` for all `t` in `[k, n-1-p]`,
-  /// preferring the smallest `p` whose evidence window spans at least
-  /// `min_cycles` full cycles; false when no candidate has enough evidence.
-  /// Resumes each period's scan where the previous call left off.
-  /// `min_cycles` must not vary across calls on one tracker.
-  bool Find(int64_t min_cycles, int64_t* k_out, int64_t* p_out);
-
-  /// Exact in-place verification that `M[t] = M[t+p]` holds on all
-  /// `t in [k, n-1-p]` (the evidence window behind a Find result). On a hash
-  /// collision the frontier of `p` is advanced past the refuted position and
-  /// false is returned — re-probe via Find.
-  bool VerifyCandidate(const Interpretation& model, int64_t k, int64_t p);
-
- private:
-  struct Candidate {
-    int64_t k = 0;          // agreeing-suffix start at the last scan
-    int64_t scanned_n = 0;  // hash-vector size the last scan covered
-  };
-  std::vector<std::size_t> hashes_;
-  std::vector<Candidate> candidates_;  // candidates_[p - 1] tracks period p
+/// What verified doubling carries from one probe horizon to the next: the
+/// previous probe's candidate and whether the scan has switched to exact
+/// mode.
+struct DoublingScan {
+  bool have_candidate = false;
+  int64_t k = -1;
+  int64_t p = -1;
+  /// Set once verification refutes a candidate (a genuine hash collision):
+  /// from then on every hash-agreeing position is confirmed with the exact
+  /// check, so the scan cannot re-propose the colliding candidate.
+  bool exact = false;
 };
+
+/// First half of one probe of verified doubling, over the state hashes of
+/// `M[0...m]`: FindMinimalPeriod (`min_cycles = 3`, trusting hash agreement
+/// unless `scan->exact`) proposes a candidate `(scan->k, scan->p)`. True
+/// when it equals the previous probe's candidate — stable across a doubling,
+/// so VerifyStableCandidate decides on it. `snapshot_equal(s, t)` is the
+/// exact state comparison.
+template <typename Equal>
+bool ScanForStableCandidate(const std::vector<std::size_t>& hashes,
+                            const Equal& snapshot_equal, DoublingScan* scan) {
+  auto equal = [&](int64_t s, int64_t t) {
+    return !scan->exact || snapshot_equal(s, t);
+  };
+  int64_t k = 0;
+  int64_t p = 0;
+  if (!FindMinimalPeriod(hashes, /*min_cycles=*/3, equal, &k, &p)) {
+    scan->have_candidate = false;
+    return false;
+  }
+  const bool stable = scan->have_candidate && k == scan->k && p == scan->p;
+  scan->have_candidate = true;
+  scan->k = k;
+  scan->p = p;
+  return stable;
+}
+
+/// Second half: confirms the stable candidate on its whole evidence window
+/// `[k, m - p]` in place, unless the exact scan has already done so. True
+/// accepts `(scan->k, scan->p)`. A refutation leaves the scan exact for the
+/// rest of the run and restarts the stability count.
+template <typename Equal>
+bool VerifyStableCandidate(const std::vector<std::size_t>& hashes,
+                           const Equal& snapshot_equal, DoublingScan* scan) {
+  if (scan->exact) return true;
+  scan->exact = true;
+  const int64_t m = static_cast<int64_t>(hashes.size()) - 1;
+  if (AgreeingSuffixStart(hashes, scan->p, m + 1 - scan->p,
+                          snapshot_equal) == scan->k) {
+    return true;
+  }
+  scan->have_candidate = false;
+  return false;
+}
 
 /// Next probe horizon of the verified-doubling loop: `2m`, or -1 when the
 /// doubling would exceed `max_horizon` — computed without overflowing even

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -31,13 +30,6 @@ LogLevel InitLevelFromEnv() {
                  env);
   }
   return LogLevel::kWarn;
-}
-
-std::string NumberText(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -126,7 +118,7 @@ LogEvent& LogEvent::Uint(std::string_view key, uint64_t value) {
 
 LogEvent& LogEvent::Num(std::string_view key, double value) {
   if (enabled_) {
-    line_ += ",\"" + JsonEscape(key) + "\":" + NumberText(value);
+    line_ += ",\"" + JsonEscape(key) + "\":" + FormatSignificant(value);
   }
   return *this;
 }

@@ -4,19 +4,11 @@
 #include <bit>
 #include <cmath>
 
+#include "util/string_util.h"
+
 namespace chronolog {
 
 namespace {
-
-/// Formats a double as JSON-safe text: fixed notation with enough precision
-/// for milliseconds-as-double, no inf/nan (clamped to 0 — instruments only
-/// see finite values, this is belt and braces for the exporter).
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 void AtomicMin(std::atomic<uint64_t>& slot, uint64_t value) {
   uint64_t cur = slot.load(std::memory_order_relaxed);
@@ -53,40 +45,6 @@ void AppendFamilyHeader(std::string& out, const std::string& prom_name,
 }
 
 }  // namespace
-
-void Gauge::Set(double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  last_ = value;
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  sum_ += value;
-  ++count_;
-}
-
-double Gauge::last() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_;
-}
-
-double Gauge::min() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return min_;
-}
-
-double Gauge::max() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return max_;
-}
-
-double Gauge::mean() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_ == 0 ? 0 : sum_ / static_cast<double>(count_);
-}
-
-uint64_t Gauge::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
 
 void Histogram::RecordMs(double ms) {
   const double ns = ms * 1e6;
@@ -156,15 +114,6 @@ Counter* MetricsRegistry::counter(std::string_view name) {
   return it->second.get();
 }
 
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return it->second.get();
-}
-
 Histogram* MetricsRegistry::histogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -189,17 +138,6 @@ std::string MetricsRegistry::ToJson() const {
     first = false;
     out += "\"" + name + "\":" + std::to_string(counter->value());
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":{\"last\":" + JsonNumber(gauge->last()) +
-           ",\"min\":" + JsonNumber(gauge->min()) +
-           ",\"max\":" + JsonNumber(gauge->max()) +
-           ",\"mean\":" + JsonNumber(gauge->mean()) +
-           ",\"count\":" + std::to_string(gauge->count()) + "}";
-  }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, hist] : histograms_) {
@@ -209,7 +147,7 @@ std::string MetricsRegistry::ToJson() const {
            ",\"sum\":" + std::to_string(hist->sum()) +
            ",\"min\":" + std::to_string(hist->min()) +
            ",\"max\":" + std::to_string(hist->max()) +
-           ",\"mean\":" + JsonNumber(hist->mean()) + ",\"buckets\":[";
+           ",\"mean\":" + FormatSignificant(hist->mean()) + ",\"buckets\":[";
     bool first_bucket = true;
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
       const uint64_t n = hist->bucket(i);
@@ -218,7 +156,7 @@ std::string MetricsRegistry::ToJson() const {
       first_bucket = false;
       // Exclusive upper bound of bucket i is 2^i (bucket 0 holds zeros).
       const double le = i == 0 ? 0 : std::ldexp(1.0, i);
-      out += "{\"le\":" + JsonNumber(le) + ",\"n\":" + std::to_string(n) + "}";
+      out += "{\"le\":" + FormatSignificant(le) + ",\"n\":" + std::to_string(n) + "}";
     }
     out += "]}";
   }
@@ -233,17 +171,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
     const std::string prom = PrometheusName(name);
     AppendFamilyHeader(out, prom, name, "counter");
     out += prom + " " + std::to_string(counter->value()) + "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    const std::string prom = PrometheusName(name);
-    AppendFamilyHeader(out, prom, name, "gauge");
-    out += prom + " " + JsonNumber(gauge->last()) + "\n";
-    const std::pair<const char*, double> variants[] = {
-        {"_min", gauge->min()}, {"_max", gauge->max()}, {"_mean", gauge->mean()}};
-    for (const auto& [suffix, value] : variants) {
-      AppendFamilyHeader(out, prom + suffix, name, "gauge");
-      out += prom + suffix + " " + JsonNumber(value) + "\n";
-    }
   }
   for (const auto& [name, hist] : histograms_) {
     const std::string prom = PrometheusName(name);
@@ -260,7 +187,7 @@ std::string MetricsRegistry::ToPrometheusText() const {
     for (int i = 0; i <= highest; ++i) {
       cumulative += hist->bucket(i);
       const double le = i == 0 ? 0 : std::ldexp(1.0, i);
-      out += prom + "_bucket{le=\"" + JsonNumber(le) + "\"} " +
+      out += prom + "_bucket{le=\"" + FormatSignificant(le) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
     out += prom + "_bucket{le=\"+Inf\"} " + std::to_string(hist->count()) +
@@ -273,7 +200,7 @@ std::string MetricsRegistry::ToPrometheusText() const {
         {"_p99", hist->Quantile(0.99)}};
     for (const auto& [suffix, value] : quantiles) {
       AppendFamilyHeader(out, prom + suffix, name, "gauge");
-      out += prom + suffix + " " + JsonNumber(value) + "\n";
+      out += prom + suffix + " " + FormatSignificant(value) + "\n";
     }
   }
   return out;

@@ -13,12 +13,9 @@
 namespace chronolog {
 
 /// chronolog_obs — the engine-wide metrics layer. A `MetricsRegistry` is a
-/// thread-safe, name-keyed store of three instrument kinds:
+/// thread-safe, name-keyed store of two instrument kinds:
 ///
 ///  * `Counter`   — monotone event counts (relaxed atomic adds);
-///  * `Gauge`     — point-in-time observations with last/min/max/mean
-///                  tracking (one short lock per Set; writers are low-rate:
-///                  once per round / probe);
 ///  * `Histogram` — log2-bucketed latency (or size) distributions with
 ///                  lock-free recording, built for the hot evaluation paths.
 ///
@@ -37,27 +34,6 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-};
-
-/// Point-in-time observations. Tracks the last value plus min/max/sum/count
-/// so one gauge can answer "what was the worst and the typical imbalance".
-class Gauge {
- public:
-  void Set(double value);
-
-  double last() const;
-  double min() const;
-  double max() const;
-  double mean() const;  // 0 when never set
-  uint64_t count() const;
-
- private:
-  mutable std::mutex mu_;
-  double last_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  double sum_ = 0;
-  uint64_t count_ = 0;
 };
 
 /// Log2-bucketed distribution. Samples are recorded in nanoseconds (or raw
@@ -100,7 +76,7 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
-/// Name-keyed instrument store. `counter`/`gauge`/`histogram` get-or-create
+/// Name-keyed instrument store. `counter`/`histogram` get-or-create
 /// under a mutex and return stable pointers (instruments are never removed),
 /// so callers hoist the lookup out of hot loops and then record lock-free.
 /// Names are dotted paths, `subsystem.phase[_unit]`:
@@ -112,7 +88,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* counter(std::string_view name);
-  Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
   /// True when an instrument of that kind and name already exists.
@@ -120,7 +95,6 @@ class MetricsRegistry {
 
   /// Deterministic (name-sorted) JSON object:
   /// {"counters":{name:n,...},
-  ///  "gauges":{name:{"last":..,"min":..,"max":..,"mean":..,"count":..},...},
   ///  "histograms":{name:{"count":..,"sum":..,"min":..,"max":..,"mean":..,
   ///                      "buckets":[{"le":2^i,"n":..},...]},...}}
   /// Histogram values are in the unit they were recorded in (ns for the
@@ -134,8 +108,6 @@ class MetricsRegistry {
   /// line naming the original dotted instrument. Mapping:
   ///
   ///  * Counter    -> `counter` sample;
-  ///  * Gauge      -> `gauge` sample of the last value, plus `_min`/`_max`/
-  ///                  `_mean` gauge variants;
   ///  * Histogram  -> `histogram` family: cumulative `_bucket{le="2^i"}`
   ///                  samples (one per log2 bucket up to the highest
   ///                  non-empty one, then `le="+Inf"`), `_sum` and `_count`,
@@ -150,7 +122,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

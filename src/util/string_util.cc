@@ -68,4 +68,13 @@ std::string FormatDouble(double v) {
   return std::string(buf, end);
 }
 
+std::string FormatSignificant(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::general, 6);
+  if (ec != std::errc()) return "0";  // cannot happen with a 64-byte buffer
+  return std::string(buf, end);
+}
+
 }  // namespace chronolog

@@ -29,6 +29,12 @@ std::string JsonEscape(std::string_view s);
 /// (which JSON cannot carry) render as "0".
 std::string FormatDouble(double v);
 
+/// Renders `v` with six significant digits, byte-identical to
+/// `printf("%.6g")` in the C locale but independent of the process locale.
+/// Non-finite values render as "0". The metrics, statement-statistics and
+/// log exporters format their numbers with it.
+std::string FormatSignificant(double v);
+
 }  // namespace chronolog
 
 #endif  // CHRONOLOG_UTIL_STRING_UTIL_H_

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/engine.h"
+#include "query/answers.h"
 #include "workload/generators.h"
 
 namespace chronolog {
@@ -145,6 +150,46 @@ TEST(EngineTest, UnknownConstantIsSimplyFalse) {
   auto answer = tdd.Ask("plane(0, atlantis)");
   ASSERT_TRUE(answer.ok()) << answer.status();
   EXPECT_FALSE(*answer);
+}
+
+TEST(EngineTest, UnknownConstantsAreQueryLocal) {
+  TemporalDatabase tdd = MustEngine(workload::SkiScheduleSource(1, 12, 4, 1));
+  const std::size_t before = tdd.vocab().num_constants();
+  auto negated = tdd.Query("~plane(3, zz)");
+  ASSERT_TRUE(negated.ok()) << negated.status();
+  EXPECT_EQ(negated->ToString(tdd.vocab()), "yes");
+  // A local constant joins the open query's constant domain and is
+  // rendered by name.
+  auto open = tdd.Query("~plane(3, X) & ~plane(4, zz)");
+  ASSERT_TRUE(open.ok()) << open.status();
+  EXPECT_NE(open->ToString(tdd.vocab()).find("X = zz\n"), std::string::npos);
+  auto explain = tdd.Explain("plane(3, zz)");
+  EXPECT_EQ(explain.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(explain.status().ToString().find(
+                "no proof: plane(3, zz) is not in the least model"),
+            std::string::npos)
+      << explain.status();
+  EXPECT_EQ(tdd.vocab().num_constants(), before);
+}
+
+TEST(EngineTest, UnfoldedLocalConstantsKeepTheirNames) {
+  TemporalDatabase tdd = MustEngine(workload::SkiScheduleSource(1, 12, 4, 1));
+  auto open = tdd.Query("~plane(3, X) & ~plane(4, zz)");
+  ASSERT_TRUE(open.ok()) << open.status();
+  auto rows = UnfoldAnswers(*open, 10);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  std::vector<std::string> names;
+  for (const auto& row : *rows) {
+    ASSERT_EQ(row.size(), 1u);
+    names.push_back(
+        tdd.vocab().ConstantName(row[0].constant, open->local_constants));
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), "zz"), names.end());
+  // Without the query's local names a local id has no name; it must not be
+  // read out of the vocabulary's table.
+  const SymbolId zz = kFirstLocalConstant;
+  EXPECT_EQ(tdd.vocab().ConstantName(zz, open->local_constants), "zz");
+  EXPECT_THROW(tdd.vocab().ConstantName(zz), std::out_of_range);
 }
 
 TEST(EngineTest, DescribeSummarises) {

@@ -236,8 +236,8 @@ TEST(ForwardTest, NonProgressiveProgramIsRejected) {
 
 TEST(ForwardTest, StepBudgetIsEnforced) {
   ParsedUnit unit = MustParse(workload::TokenRingSource({97, 89}));
-  ForwardOptions options;
-  options.max_steps = 100;  // far below lcm(97, 89) = 8633
+  PeriodDetectionOptions options;
+  options.max_horizon = 100;  // far below lcm(97, 89) = 8633
   auto result = ForwardSimulate(unit.program, unit.database, options);
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -246,7 +246,7 @@ TEST(ForwardTest, FactBudgetIsEnforced) {
   ParsedUnit unit = MustParse(
       "p(T+1, X) :- p(T, X).\np(T, Y) :- p(T, X), e(X, Y).\n"
       "p(0, a). e(a, b). e(b, c). e(c, d).");
-  ForwardOptions options;
+  PeriodDetectionOptions options;
   options.max_facts = 5;
   auto result = ForwardSimulate(unit.program, unit.database, options);
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);

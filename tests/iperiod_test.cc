@@ -20,9 +20,9 @@ ParsedUnit MustParse(std::string_view src) {
 /// M[t] = M[t+p0] for all t >= b0 + c.
 void ExpectValidPeriod(const Program& program, const Database& db,
                        const Period& iperiod, int64_t margin = 3) {
-  ForwardOptions options;
-  options.max_steps = 1 << 20;
-  auto run = ForwardSimulate(program, db);
+  PeriodDetectionOptions options;
+  options.max_horizon = 1 << 20;
+  auto run = ForwardSimulate(program, db, options);
   ASSERT_TRUE(run.ok()) << run.status();
   // Minimal period must divide the I-period, and the I-period's onset must
   // not precede what the minimal detection found impossible.

@@ -1,4 +1,4 @@
-// chronolog_obs: the metrics registry (counters, gauges, log2-bucketed
+// chronolog_obs: the metrics registry (counters and log2-bucketed
 // histograms), the RAII trace spans with thread-local nesting, the JSON
 // exporters, and the engine-level wiring behind
 // EngineOptions::collect_metrics.
@@ -30,20 +30,6 @@ TEST(MetricsTest, CounterAccumulatesAcrossThreads) {
   for (std::thread& t : threads) t.join();
   c.Add(5);
   EXPECT_EQ(c.value(), 4005u);
-}
-
-TEST(MetricsTest, GaugeTracksLastMinMaxMean) {
-  Gauge g;
-  EXPECT_EQ(g.count(), 0u);
-  EXPECT_EQ(g.mean(), 0.0);
-  g.Set(4.0);
-  g.Set(1.0);
-  g.Set(7.0);
-  EXPECT_EQ(g.last(), 7.0);
-  EXPECT_EQ(g.min(), 1.0);
-  EXPECT_EQ(g.max(), 7.0);
-  EXPECT_DOUBLE_EQ(g.mean(), 4.0);
-  EXPECT_EQ(g.count(), 3u);
 }
 
 TEST(MetricsTest, HistogramBucketsByBitWidth) {
@@ -88,18 +74,15 @@ TEST(MetricsTest, RegistryReturnsStablePointersAndGetOrCreates) {
 TEST(MetricsTest, EmptyRegistryJson) {
   MetricsRegistry reg;
   EXPECT_EQ(reg.ToJson(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
+            "{\"counters\":{},\"histograms\":{}}");
 }
 
 TEST(MetricsTest, JsonContainsAllInstrumentKinds) {
   MetricsRegistry reg;
   reg.counter("x.n")->Add(3);
-  reg.gauge("x.g")->Set(2.5);
   reg.histogram("x.h")->RecordValue(5);
   const std::string json = reg.ToJson();
   EXPECT_NE(json.find("\"x.n\":3"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"x.g\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"last\":2.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"x.h\""), std::string::npos) << json;
   // Value 5 has bit width 3: one sample in the bucket with le = 2^3.
   EXPECT_NE(json.find("\"buckets\":[{\"le\":8,\"n\":1}]"), std::string::npos)
@@ -229,14 +212,11 @@ TEST(EngineMetricsTest, CollectMetricsPopulatesDoublingInstruments) {
 // --- PR 5 exporters -------------------------------------------------------
 
 // Every instrument kind must survive the Prometheus text round trip:
-// counters as `counter`, gauges as `gauge` (last value plus _min/_max/_mean
-// variants), histograms as cumulative `_bucket{le=...}` / `_sum` / `_count`.
+// counters as `counter`, histograms as cumulative `_bucket{le=...}` /
+// `_sum` / `_count`.
 TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
   MetricsRegistry registry;
   registry.counter("query.asks")->Add(3);
-  Gauge* g = registry.gauge("test.load_ratio");
-  g->Set(2.0);
-  g->Set(4.0);
   Histogram* h = registry.histogram("query.latency_ns");
   h->RecordValue(0);  // bucket 0
   h->RecordValue(3);  // bucket 2: [2, 4)
@@ -248,16 +228,6 @@ TEST(MetricsTest, PrometheusTextCoversAllInstrumentKinds) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE query_asks counter\n"), std::string::npos);
   EXPECT_NE(text.find("query_asks 3\n"), std::string::npos);
-
-  EXPECT_NE(text.find("# TYPE test_load_ratio gauge\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("test_load_ratio 4\n"), std::string::npos);
-  EXPECT_NE(text.find("test_load_ratio_min 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("test_load_ratio_max 4\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("test_load_ratio_mean 3\n"),
-            std::string::npos);
 
   EXPECT_NE(text.find("# TYPE query_latency_ns histogram\n"),
             std::string::npos);

@@ -8,16 +8,18 @@
 
 namespace chronolog {
 
-/// Reference minimal-period scan over explicitly materialised states, the
-/// from-scratch oracle PeriodCandidateTracker is checked against. Returns
-/// the minimal `(k, p)` (absolute start `k`, not yet normalised by `c`) such
-/// that `states[t] == states[t+p]` for all `t` in `[k, states.size()-1-p]`,
+/// Reference minimal-period scan over explicitly materialised states (or
+/// any equality-comparable stand-ins), the from-scratch oracle the hash scan
+/// FindMinimalPeriod is checked against. Returns the minimal `(k, p)`
+/// (absolute start `k`, not yet normalised by `c`) such that
+/// `states[t] == states[t+p]` for all `t` in `[k, states.size()-1-p]`,
 /// preferring the smallest `p` whose evidence window spans at least
 /// `min_cycles` full cycles. Returns false when no candidate has enough
 /// evidence.
-inline bool FindMinimalPeriodInWindow(const std::vector<State>& states,
-                                      int64_t min_cycles, int64_t* k_out,
-                                      int64_t* p_out) {
+template <typename StateT>
+bool FindMinimalPeriodInWindow(const std::vector<StateT>& states,
+                               int64_t min_cycles, int64_t* k_out,
+                               int64_t* p_out) {
   const int64_t n = static_cast<int64_t>(states.size());
   for (int64_t p = 1; p <= n / (min_cycles + 1); ++p) {
     // Smallest k with states[t] == states[t+p] for all t in [k, n-1-p]:

@@ -123,6 +123,36 @@ TEST_F(QueryParserTest, ParseGroundAtomAcceptsOnlyGroundAtoms) {
           .ok());
 }
 
+TEST_F(QueryParserTest, UnknownConstantsLeaveTheVocabularyAlone) {
+  // Served databases parse every request against one shared vocabulary, so
+  // parsing must only read it.
+  const Vocabulary& vocab = unit_.program.vocab();
+  const std::size_t before = vocab.num_constants();
+  MustQuery("plane(3, zz) & ~plane(4, yy) & exists X (plane(5, zz))");
+  ASSERT_TRUE(ParseGroundAtom("plane(3, atlantis)", vocab).ok());
+  EXPECT_EQ(vocab.num_constants(), before);
+  EXPECT_EQ(vocab.FindConstant("zz"), kInvalidSymbol);
+  EXPECT_EQ(vocab.FindConstant("atlantis"), kInvalidSymbol);
+}
+
+TEST_F(QueryParserTest, UnknownConstantsAreQueryLocal) {
+  const Vocabulary& vocab = unit_.program.vocab();
+  Query q = MustQuery("plane(3, zz) & ~plane(4, yy) & plane(5, zz)");
+  EXPECT_EQ(q.local_constants, (std::vector<std::string>{"zz", "yy"}));
+  const Atom& first = q.root->left->left->atom;
+  EXPECT_EQ(first.args[0].id, kFirstLocalConstant);
+  EXPECT_EQ(vocab.ConstantName(first.args[0].id, q.local_constants), "zz");
+  std::vector<std::string> local;
+  auto known = ParseGroundAtom("plane(3, resort0)", vocab, &local);
+  ASSERT_TRUE(known.ok());
+  EXPECT_TRUE(local.empty());
+  EXPECT_EQ(known->args[0], vocab.FindConstant("resort0"));
+  auto unknown = ParseGroundAtom("plane(3, atlantis)", vocab, &local);
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_EQ(local, std::vector<std::string>{"atlantis"});
+  EXPECT_EQ(unknown->args[0], kFirstLocalConstant);
+}
+
 // --------------------------------------------------------------------------
 // Evaluation over specifications (Proposition 3.1 semantics)
 // --------------------------------------------------------------------------

@@ -858,6 +858,54 @@ TEST_F(QueryEndpointTest, RoundTripReturnsRowsAndRewrite) {
   EXPECT_GE(json->Find("eval_ms")->number, 0.0);
 }
 
+TEST_F(QueryEndpointTest, ConcurrentUnknownConstantsLeaveTheVocabularyAlone) {
+  // Two clients send constants the database has never seen, concurrently.
+  // Parsing only reads the shared vocabulary, so neither races the other
+  // nor grows it; the constants stay query-local and render by name.
+  ASSERT_TRUE(registry_
+                  .AddFromSource("planes",
+                                 "plane(0, hunter).\n"
+                                 "plane(T+2, X) :- plane(T, X).\n")
+                  .ok());
+  const Vocabulary& vocab = registry_.Find("planes")->tdd.vocab();
+  const std::size_t before = vocab.num_constants();
+  HttpServerOptions options;
+  options.num_workers = 2;
+  server_ = std::make_unique<HttpServer>(options);
+  RegisterQueryEndpoints(*server_, &registry_, {});
+  ASSERT_TRUE(server_->Start().ok());
+  const int port = server_->port();
+
+  constexpr int kClients = 2;
+  constexpr int kRequestsPerClient = 40;
+  std::atomic<int> correct{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&correct, port, c] {
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        const std::string name =
+            "c" + std::to_string(c) + "_" + std::to_string(i);
+        const std::string response = Post(
+            port, "/query",
+            "{\"database\":\"planes\",\"query\":\"~plane(1, X) & "
+            "~plane(3, " + name + ")\"}");
+        auto json = ParseJson(Body(response));
+        if (!json.ok() || json->Find("rows") == nullptr) continue;
+        const auto& rows = json->Find("rows")->array;
+        // hunter flies on even days only; X ranges over {hunter, name}.
+        if (rows.size() == 2 && rows[0].array[0].string_value == "hunter" &&
+            rows[1].array[0].string_value == name) {
+          correct.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server_->Stop();
+  EXPECT_EQ(correct.load(), kClients * kRequestsPerClient);
+  EXPECT_EQ(vocab.num_constants(), before);
+}
+
 TEST_F(QueryEndpointTest, MalformedJsonIs400) {
   const int port = StartServer();
   EXPECT_NE(Post(port, "/query", "{oops").find("HTTP/1.1 400"),

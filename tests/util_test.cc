@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -294,6 +295,20 @@ TEST(FormatDoubleTest, IgnoresCommaDecimalLocale) {
     EXPECT_NE(to_string_rendered.find(','), std::string::npos)
         << "de_DE locale installed but did not use ',' — check the fixture";
   }
+}
+
+TEST(FormatSignificantTest, MatchesPrintfG6InTheCLocale) {
+  const double values[] = {0.0,     -0.0,     1.0,       0.5,     -3.25,
+                           42.0,    1e-5,     1.234567e-5, 123456.0,
+                           1234567.0, 999999.5, 0.1,     2.0 / 3.0,
+                           1e21,    -7.5e-300, 4096.0,   1e6,     65536.125};
+  for (double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.6g", v);
+    EXPECT_EQ(FormatSignificant(v), expected) << v;
+  }
+  EXPECT_EQ(FormatSignificant(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(FormatSignificant(std::numeric_limits<double>::quiet_NaN()), "0");
 }
 
 TEST(JsonParserTest, DepthIsCapped) {
