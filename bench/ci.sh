@@ -15,7 +15,9 @@
 # counts, an /explain rewrite cross-check, no-5xx assertion + clean
 # SIGINT shutdown), the perfbench smoke test (the BENCHMARK.json harness
 # builds and answers), a work-counter gate pinning the traced materialize
-# workload's evaluation counters, an AddressSanitizer/UBSan build
+# workload's evaluation counters, a serving counter gate pinning the
+# traced serve workloads' oracle lookups and bounding their allocations
+# per request, an AddressSanitizer/UBSan build
 # (CHRONOLOG_SANITIZE, see CMakeLists.txt) with a full ctest run, and a
 # ThreadSanitizer build running the serve, statements and metrics suites.
 #
@@ -133,7 +135,7 @@ EXACT = {"eval.match_steps": 7385676,
          "eval.inserted": 1928996,
          "spec.detection_horizon": 63909,
          "period.doublings": 10}
-AT_MOST = {"eval.allocs_per_derived": 0.4861}
+AT_MOST = {"eval.allocs_per_derived": 0.3893}
 failures = []
 for name, pinned in EXACT.items():
     if metrics.get(name) != pinned:
@@ -145,6 +147,49 @@ if failures:
     sys.exit("counter gate: " + "; ".join(failures))
 print("counter gate: " +
       ", ".join(f"{name} = {metrics[name]}" for name in [*EXACT, *AT_MOST]))
+PY
+
+# Serving counter gate: the traced serve workloads (seed 7) must answer a
+# ground atom with exactly one oracle lookup — Prop. 3.1's canonicalise
+# plus one lookup in B, with no per-request walk of B — and the scan
+# workload with the pinned lookup count of its fixed query stream. The
+# per-request allocation counts are bounded at the measured values plus a
+# little slack (a few allocations vary with server timing).
+echo "== serving counter gate (traced serve_point/serve_scan, seed 7) =="
+for workload in serve_point serve_scan; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 3 \
+    --trace 1 2>"$BUILD_DIR/${workload}_gate_build.log" | tail -n 1 \
+    >"$BUILD_DIR/${workload}_gate.json"
+done
+python3 - "$BUILD_DIR/serve_point_gate.json" \
+  "$BUILD_DIR/serve_scan_gate.json" <<'PY'
+import json
+import sys
+
+EXACT = {"serve_point": {"query.oracle_lookups_per_req": 1},
+         "serve_scan": {"query.oracle_lookups_per_req": 1571.4920634920634}}
+AT_MOST = {"serve_point": {"query.allocs_per_req": 22.0},
+           "serve_scan": {"query.allocs_per_req": 280.0}}
+failures = []
+report = []
+for workload, path in zip(("serve_point", "serve_scan"), sys.argv[1:3]):
+    with open(path) as fh:
+        result = json.load(fh)
+    assert result["correct"] and result["failed"] == 0, (workload, result)
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for name, pinned in EXACT[workload].items():
+        if metrics.get(name) is None or abs(metrics[name] - pinned) > 1e-6:
+            failures.append(f"{workload} {name} = {metrics.get(name)}, "
+                            f"pinned {pinned}")
+    for name, limit in AT_MOST[workload].items():
+        if metrics.get(name) is None or metrics[name] > limit:
+            failures.append(f"{workload} {name} = {metrics.get(name)}, "
+                            f"limit {limit}")
+    report += [f"{workload} {name} = {metrics.get(name)}"
+               for name in [*EXACT[workload], *AT_MOST[workload]]]
+if failures:
+    sys.exit("serving counter gate: " + "; ".join(failures))
+print("serving counter gate: " + ", ".join(report))
 PY
 
 echo "== metrics liveness (metered spec-build pass) =="

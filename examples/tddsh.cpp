@@ -174,14 +174,14 @@ int main(int argc, char** argv) {
       }
       if (!engine->vocab().predicate(pred).is_temporal) {
         std::printf("'%s' is non-temporal (%zu tuples)\n", name.c_str(),
-                    (*spec)->primary().NonTemporal(pred).size());
+                    (*spec)->primary().CellSize(pred, 0));
         continue;
       }
-      for (const auto& [time, tuples] :
-           (*spec)->primary().Timeline(pred)) {
-        std::printf("  t=%-6lld %zu tuple(s)\n",
-                    static_cast<long long>(time), tuples.size());
-      }
+      (*spec)->primary().ForEachCell(
+          pred, [](int64_t time, std::size_t tuples) {
+            std::printf("  t=%-6lld %zu tuple(s)\n",
+                        static_cast<long long>(time), tuples);
+          });
       std::printf("(representatives 0..%lld; rewrite %lld -> %lld)\n",
                   static_cast<long long>((*spec)->num_representatives() - 1),
                   static_cast<long long>((*spec)->rewrite_lhs()),

@@ -135,11 +135,7 @@ Result<PeriodDetection> ForwardSimulate(
         }
         evaluators[i].Evaluate(model, nullptr, -1, binding, &result.stats,
                                [&](GroundAtom&& fact) {
-                                 // Contains-first: a duplicate insert could
-                                 // still grow the dedup table.
-                                 if (model.Contains(fact)) return;
-                                 model.Insert(fact.pred, fact.time,
-                                              fact.args);
+                                 if (!model.Insert(fact)) return;
                                  ++result.stats.inserted;
                                  changed = true;
                                });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <set>
 
 #include "util/metrics.h"
@@ -11,20 +12,22 @@ namespace chronolog {
 
 namespace {
 
-/// Shared closed-formula evaluator, parameterised by the atom oracle and the
-/// two quantification domains. The temporal domain is the range
-/// `[0, num_times)`.
+/// Shared closed-formula evaluator, parameterised by the atom oracle
+/// (`bool(const GroundAtom&)`) and the two quantification domains. The
+/// temporal domain is the range `[0, num_times)`; the constant domain is
+/// borrowed and must outlive the evaluator. Every lookup reuses one scratch
+/// atom, so evaluation allocates nothing per lookup.
+template <typename Oracle>
 class Evaluator {
  public:
-  Evaluator(const Query& query,
-            std::function<bool(const GroundAtom&)> oracle, int64_t num_times,
-            std::vector<SymbolId> constant_domain, bool allow_equality,
+  Evaluator(const Query& query, Oracle oracle, int64_t num_times,
+            const std::vector<SymbolId>& constant_domain, bool allow_equality,
             std::optional<std::chrono::steady_clock::time_point> deadline =
                 std::nullopt)
       : query_(query),
         oracle_(std::move(oracle)),
         num_times_(num_times),
-        constant_domain_(std::move(constant_domain)),
+        constant_domain_(constant_domain),
         allow_equality_(allow_equality),
         deadline_(deadline),
         values_(query.var_names.size()) {}
@@ -52,19 +55,19 @@ class Evaluator {
           aborted_ = true;
         }
         if (aborted_) return false;
-        GroundAtom atom;
-        atom.pred = node.atom.pred;
+        scratch_.pred = node.atom.pred;
+        scratch_.time = 0;
         if (node.atom.temporal()) {
           const TemporalTerm& tt = *node.atom.time;
-          atom.time = tt.ground() ? tt.offset
-                                  : values_[tt.var].time + tt.offset;
+          scratch_.time = tt.ground() ? tt.offset
+                                      : values_[tt.var].time + tt.offset;
         }
-        atom.args.reserve(node.atom.args.size());
+        scratch_.args.clear();
         for (const NtTerm& t : node.atom.args) {
-          atom.args.push_back(t.is_constant() ? t.id
-                                              : values_[t.id].constant);
+          scratch_.args.push_back(t.is_constant() ? t.id
+                                                  : values_[t.id].constant);
         }
-        return oracle_(atom);
+        return oracle_(scratch_);
       }
       case QueryKind::kEqual: {
         if (!allow_equality_) {
@@ -125,16 +128,46 @@ class Evaluator {
   }
 
   const Query& query_;
-  std::function<bool(const GroundAtom&)> oracle_;
+  Oracle oracle_;
   int64_t num_times_;
-  std::vector<SymbolId> constant_domain_;
+  const std::vector<SymbolId>& constant_domain_;
   bool allow_equality_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   uint32_t lookup_ticks_ = 0;
   bool aborted_ = false;
   std::vector<QueryValue> values_;
+  GroundAtom scratch_;
   Status error_;
 };
+
+/// True when some variable of `query` (free or quantified) ranges over
+/// constants; otherwise no constant domain is needed at all.
+bool QuantifiesConstants(const Query& query) {
+  return std::find(query.temporal_vars.begin(), query.temporal_vars.end(),
+                   false) != query.temporal_vars.end();
+}
+
+/// The constants `query` mentions (its vocabulary constants and its
+/// query-local ones), ascending and distinct.
+std::vector<SymbolId> QueryConstants(const Query& query) {
+  std::vector<SymbolId> constants;
+  std::vector<const QueryNode*> stack = {query.root.get()};
+  while (!stack.empty()) {
+    const QueryNode* node = stack.back();
+    stack.pop_back();
+    if (node->kind == QueryKind::kAtom) {
+      for (const NtTerm& t : node->atom.args) {
+        if (t.is_constant()) constants.push_back(t.id);
+      }
+    }
+    if (node->left != nullptr) stack.push_back(node->left.get());
+    if (node->right != nullptr) stack.push_back(node->right.get());
+  }
+  std::sort(constants.begin(), constants.end());
+  constants.erase(std::unique(constants.begin(), constants.end()),
+                  constants.end());
+  return constants;
+}
 
 /// Active constants: every constant in the interpretation plus every
 /// constant mentioned by the query.
@@ -144,21 +177,12 @@ std::vector<SymbolId> ActiveConstants(const Query& query,
   interp.ForEach([&](PredicateId, int64_t, const Tuple& args) {
     for (SymbolId c : args) constants.insert(c);
   });
-  std::function<void(const QueryNode&)> walk = [&](const QueryNode& node) {
-    if (node.kind == QueryKind::kAtom) {
-      for (const NtTerm& t : node.atom.args) {
-        if (t.is_constant()) constants.insert(t.id);
-      }
-      return;
-    }
-    if (node.left != nullptr) walk(*node.left);
-    if (node.right != nullptr) walk(*node.right);
-  };
-  walk(*query.root);
+  for (SymbolId c : QueryConstants(query)) constants.insert(c);
   return {constants.begin(), constants.end()};
 }
 
-Result<QueryAnswer> Run(const Query& query, Evaluator evaluator,
+template <typename Oracle>
+Result<QueryAnswer> Run(const Query& query, Evaluator<Oracle>& evaluator,
                         int64_t rewrite_lhs, int64_t rewrite_p,
                         uint64_t max_rows = 0) {
   QueryAnswer answer;
@@ -303,7 +327,7 @@ Result<QueryAnswer> EvaluateQueryOverSpec(
                  rewrite_steps](const GroundAtom& atom) {
     ++local_lookups;
     if (lookups != nullptr) lookups->Add();
-    if (spec.primary().vocab().predicate(atom.pred).is_temporal &&
+    if (spec.primary().IsTemporal(atom.pred) &&
         atom.time >= spec.rewrite_lhs()) {
       // Number of `lhs -> lhs - p` applications Canonicalize folds to bring
       // `t` below the rewrite threshold.
@@ -314,12 +338,25 @@ Result<QueryAnswer> EvaluateQueryOverSpec(
     }
     return spec.Ask(atom);
   };
-  Evaluator evaluator(query, oracle, spec.num_representatives(),
-                      ActiveConstants(query, spec.primary()),
+  // Non-temporal variables range over the constants of `B` (cached by the
+  // spec) plus the query's own; the merge copies only when the query
+  // mentions a constant `B` lacks.
+  std::vector<SymbolId> merged;
+  const std::vector<SymbolId>* domain = &merged;
+  if (QuantifiesConstants(query)) {
+    const std::vector<SymbolId>& base = spec.primary().constants();
+    const std::vector<SymbolId> own = QueryConstants(query);
+    if (std::includes(base.begin(), base.end(), own.begin(), own.end())) {
+      domain = &base;
+    } else {
+      std::set_union(base.begin(), base.end(), own.begin(), own.end(),
+                     std::back_inserter(merged));
+    }
+  }
+  Evaluator evaluator(query, oracle, spec.num_representatives(), *domain,
                       /*allow_equality=*/false, options.deadline);
-  Result<QueryAnswer> answer = Run(query, std::move(evaluator),
-                                   spec.rewrite_lhs(), spec.period().p,
-                                   options.max_rows);
+  Result<QueryAnswer> answer = Run(query, evaluator, spec.rewrite_lhs(),
+                                   spec.period().p, options.max_rows);
   if (answer.ok()) {
     answer->oracle_lookups = local_lookups;
     answer->rewrite_steps = local_rewrites;
@@ -341,11 +378,11 @@ Result<QueryAnswer> EvaluateQueryOverModel(const Query& query,
                                            int64_t temporal_horizon) {
   // Times [0, temporal_horizon]; a negative horizon leaves the domain empty.
   const int64_t num_times = std::max<int64_t>(temporal_horizon, -1) + 1;
+  const std::vector<SymbolId> domain = ActiveConstants(query, model);
   Evaluator evaluator(
       query, [&model](const GroundAtom& atom) { return model.Contains(atom); },
-      num_times, ActiveConstants(query, model),
-      /*allow_equality=*/true);
-  return Run(query, std::move(evaluator), /*rewrite_lhs=*/-1, /*rewrite_p=*/0);
+      num_times, domain, /*allow_equality=*/true);
+  return Run(query, evaluator, /*rewrite_lhs=*/-1, /*rewrite_p=*/0);
 }
 
 }  // namespace chronolog

@@ -120,9 +120,12 @@ struct QueryAnswer {
 
 /// Evaluates a query over a relational specification per Proposition 3.1:
 /// temporal quantifiers (and free temporal variables) range over the
-/// representative terms `T`, non-temporal ones over the active constants of
-/// `B` plus the query's own constants; atoms are canonicalised by `W` and
-/// looked up in `B`; negation is closed-world.
+/// representative terms `T`, non-temporal ones over the constants of `B`
+/// (cached by the specification) plus the query's own constants; atoms are
+/// canonicalised by `W` and looked up in `B`; negation is closed-world.
+/// Nothing here walks `B`: a ground atom costs one lookup and no
+/// allocation, and a query without non-temporal variables builds no
+/// constant domain.
 Result<QueryAnswer> EvaluateQueryOverSpec(
     const Query& query, const RelationalSpecification& spec,
     const QueryEvalOptions& options = {});

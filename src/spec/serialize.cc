@@ -1,8 +1,10 @@
 #include "spec/serialize.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "ast/parser.h"
 #include "ast/printer.h"
@@ -14,16 +16,40 @@ std::string SerializeSpecification(const RelationalSpecification& spec) {
   out += "%!period b=" + std::to_string(spec.period().b) +
          " p=" + std::to_string(spec.period().p) +
          " c=" + std::to_string(spec.c()) + "\n";
+  // The text depends on names only, never on the ids a vocabulary happened
+  // to assign: predicates in name order, each predicate's cells in time
+  // order, each cell's lines sorted as text. A loaded specification (whose
+  // vocabulary numbers symbols in order of appearance) therefore
+  // serialises to the same bytes.
   const Vocabulary& vocab = spec.primary().vocab();
-  for (PredicateId pred : vocab.AllPredicates()) {
+  std::vector<PredicateId> preds = vocab.AllPredicates();
+  std::sort(preds.begin(), preds.end(), [&](PredicateId a, PredicateId b) {
+    return vocab.predicate(a).name < vocab.predicate(b).name;
+  });
+  for (PredicateId pred : preds) {
     const PredicateInfo& info = vocab.predicate(pred);
     out += (info.is_temporal ? "@temporal " : "@predicate ") + info.name +
            "/" + std::to_string(info.written_arity()) + ".\n";
   }
+  std::vector<std::string> facts(vocab.num_predicates());
+  std::vector<std::string> cell;
+  PredicateId cell_pred = kInvalidPredicate;
+  int64_t cell_time = 0;
+  auto flush = [&] {
+    std::sort(cell.begin(), cell.end());
+    for (const std::string& line : cell) facts[cell_pred] += line;
+    cell.clear();
+  };
   spec.primary().ForEach([&](PredicateId pred, int64_t time,
                              const Tuple& args) {
-    out += GroundAtomToString(GroundAtom(pred, time, args), vocab) + ".\n";
+    if (!cell.empty() && (pred != cell_pred || time != cell_time)) flush();
+    cell_pred = pred;
+    cell_time = time;
+    cell.push_back(GroundAtomToString(GroundAtom(pred, time, args), vocab) +
+                   ".\n");
   });
+  if (!cell.empty()) flush();
+  for (PredicateId pred : preds) out += facts[pred];
   return out;
 }
 

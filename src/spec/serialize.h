@@ -18,8 +18,10 @@ namespace chronolog {
 ///
 /// Header lines are `%`-comments, so the body doubles as ordinary chronolog
 /// source; `@predicate`/`@temporal` directives pin the full schema even for
-/// empty relations. A saved specification answers queries without
-/// re-running period detection — compile once, ship the artefact.
+/// empty relations. Directives and facts follow predicate names, then
+/// time, then the text of the fact, so `Serialize(Deserialize(Serialize(s)))`
+/// reproduces `Serialize(s)` byte for byte. A saved specification answers queries
+/// without re-running period detection — compile once, ship the artefact.
 std::string SerializeSpecification(const RelationalSpecification& spec);
 
 /// Parses a serialised specification back. Fails with kInvalidArgument on a

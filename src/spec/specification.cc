@@ -32,12 +32,11 @@ Result<RelationalSpecification> BuildSpecification(
     info->detection_horizon = detection.horizon;
   }
   // B = least model on the representative segment [0, b+c+p-1] plus the
-  // non-temporal part (already inside the interpretation).
-  Interpretation primary = std::move(detection.model);
-  primary.TruncateInPlace(detection.period.b + detection.c +
-                          detection.period.p - 1);
+  // non-temporal part (already inside the interpretation). The constructor
+  // freezes only that segment, so the model is not truncated first: it is
+  // dropped whole, which is cheaper than erasing its later cells one by one.
   return RelationalSpecification(detection.period, detection.c,
-                                 std::move(primary));
+                                 std::move(detection.model));
 }
 
 }  // namespace chronolog

@@ -6,6 +6,7 @@
 
 #include "ast/program.h"
 #include "spec/period.h"
+#include "spec/primary_database.h"
 #include "storage/interpretation.h"
 #include "util/result.h"
 
@@ -23,10 +24,18 @@ namespace chronolog {
 /// Every temporal query is invariant w.r.t. relational specifications
 /// (Proposition 3.1), so evaluation over `B` with rewriting by `W` answers
 /// queries against the infinite least model.
+///
+/// `B` is frozen on construction (spec/primary_database.h): the
+/// Interpretation is consumed into a read-only sorted layout, and the
+/// sorted constant domain of `B` is computed once, so no query walks `B`.
 class RelationalSpecification {
  public:
+  /// `primary` is the least model on at least the representative segment
+  /// `[0, b+c+p-1]`; facts at later times are dropped while freezing.
   RelationalSpecification(Period period, int64_t c, Interpretation primary)
-      : period_(period), c_(c), primary_(std::move(primary)) {}
+      : period_(period),
+        c_(c),
+        primary_(std::move(primary), period.b + c + period.p - 1) {}
 
   const Period& period() const { return period_; }
   int64_t c() const { return c_; }
@@ -56,19 +65,20 @@ class RelationalSpecification {
 
   /// The primary database `B` (facts at representative times plus the
   /// non-temporal part).
-  const Interpretation& primary() const { return primary_; }
+  const PrimaryDatabase& primary() const { return primary_; }
 
   /// Yes-no query for an arbitrary ground atom: canonicalise, then look up
-  /// in `B`. Decides `M_{Z∧D} |= atom` in time independent of the temporal
-  /// depth of the atom.
+  /// in `B` (two binary searches, nothing copied). Decides
+  /// `M_{Z∧D} |= atom` in time independent of the temporal depth of the
+  /// atom.
   bool Ask(const GroundAtom& atom) const {
-    if (!primary_.vocab().predicate(atom.pred).is_temporal) {
-      return primary_.Contains(atom);
+    int64_t time = atom.time;
+    if (primary_.IsTemporal(atom.pred)) {
+      if (time < 0) return false;
+      time = Canonicalize(time);
     }
-    if (atom.time < 0) return false;
-    GroundAtom canonical = atom;
-    canonical.time = Canonicalize(atom.time);
-    return primary_.Contains(canonical);
+    return primary_.Contains(atom.pred, time, atom.args.data(),
+                             atom.args.size());
   }
 
   /// Total number of facts in `B` (the specification's size measure; its
@@ -81,7 +91,7 @@ class RelationalSpecification {
  private:
   Period period_;
   int64_t c_;
-  Interpretation primary_;
+  PrimaryDatabase primary_;
 };
 
 /// Builds the relational specification of `M_{Z∧D}`: detects the minimal

@@ -39,7 +39,16 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
   Relation* rel;
   if (vocab_->predicate(pred).is_temporal) {
     assert(time >= 0);
-    rel = &temporal_[pred][time];
+    // Evaluators insert mostly at the newest time: try the last cell before
+    // the O(log n) lookup, and append a later time at the end.
+    std::map<int64_t, Relation>& timeline = temporal_[pred];
+    if (timeline.empty() || timeline.rbegin()->first < time) {
+      rel = &timeline.emplace_hint(timeline.end(), time, Relation())->second;
+    } else if (timeline.rbegin()->first == time) {
+      rel = &timeline.rbegin()->second;
+    } else {
+      rel = &timeline[time];
+    }
   } else {
     rel = &non_temporal_[pred];
   }

@@ -34,14 +34,15 @@ inline uint8_t TagOf(std::size_t hash) {
 }  // namespace
 
 void Relation::SetCtrl(std::size_t slot, uint8_t byte) {
-  ctrl_[slot] = byte;
-  if (slot < kGroup - 1) ctrl_[cap_ + slot] = byte;  // mirrored tail
+  uint8_t* c = ctrl();
+  c[slot] = byte;
+  if (slot < kGroup - 1) c[cap_ + slot] = byte;  // mirrored tail
 }
 
 std::size_t Relation::HashOfRow(std::size_t row) const {
   std::size_t seed = arity_;
   for (std::size_t c = 0; c < arity_; ++c) {
-    HashCombine(seed, static_cast<std::size_t>(cols_[c][row]));
+    HashCombine(seed, static_cast<std::size_t>(at(row, c)));
   }
   return Mix64(seed);
 }
@@ -49,7 +50,7 @@ std::size_t Relation::HashOfRow(std::size_t row) const {
 bool Relation::RowEqualsData(std::size_t row, const SymbolId* data,
                              std::size_t n) const {
   for (std::size_t c = 0; c < n; ++c) {
-    if (cols_[c][row] != data[c]) return false;
+    if (at(row, c) != data[c]) return false;
   }
   return true;
 }
@@ -60,11 +61,11 @@ uint32_t Relation::FindRow(const SymbolId* data, std::size_t n,
   const uint8_t tag = TagOf(hash);
   std::size_t idx = hash & mask;
   while (true) {
-    const uint64_t g = LoadGroup(ctrl_.data() + idx);
+    const uint64_t g = LoadGroup(ctrl() + idx);
     for (uint64_t m = MatchByte(g, tag); m != 0; m &= m - 1) {
       const std::size_t slot =
           (idx + (static_cast<std::size_t>(__builtin_ctzll(m)) >> 3)) & mask;
-      const uint32_t row = slots_[slot];
+      const uint32_t row = slots()[slot];
       if (RowEqualsData(row, data, n)) return row;
     }
     const uint64_t empties = g & kHighBits;
@@ -84,14 +85,14 @@ void Relation::PlaceRow(std::size_t row, std::size_t hash) {
   const std::size_t mask = cap_ - 1;
   std::size_t idx = hash & mask;
   while (true) {
-    const uint64_t g = LoadGroup(ctrl_.data() + idx);
+    const uint64_t g = LoadGroup(ctrl() + idx);
     const uint64_t empties = g & kHighBits;
     if (empties != 0) {
       const std::size_t slot =
           (idx + (static_cast<std::size_t>(__builtin_ctzll(empties)) >> 3)) &
           mask;
       SetCtrl(slot, TagOf(hash));
-      slots_[slot] = static_cast<uint32_t>(row);
+      slots()[slot] = static_cast<uint32_t>(row);
       return;
     }
     idx = (idx + kGroup) & mask;
@@ -100,8 +101,10 @@ void Relation::PlaceRow(std::size_t row, std::size_t hash) {
 
 void Relation::Grow() {
   cap_ = cap_ == 0 ? 16 : cap_ * 2;
-  ctrl_.assign(cap_ + kGroup - 1, kEmpty);
-  slots_.assign(cap_, 0);
+  const std::size_t ctrl_bytes = cap_ + kGroup - 1;
+  table_.assign(cap_ + (ctrl_bytes + sizeof(uint32_t) - 1) / sizeof(uint32_t),
+                0);
+  std::memset(ctrl(), kEmpty, ctrl_bytes);
   // Rows are unique by construction, so re-placement needs no equality
   // probes — just the first free slot on each row's probe path.
   for (std::size_t row = 0; row < num_rows_; ++row) {
@@ -109,21 +112,39 @@ void Relation::Grow() {
   }
 }
 
+void Relation::GrowColumns() {
+  const std::size_t stride = stride_ == 0 ? 4 : std::size_t{stride_} * 2;
+  std::vector<SymbolId> cols(arity_ * stride);
+  for (std::size_t c = 0; c < arity_; ++c) {
+    std::copy_n(cols_.data() + c * stride_, num_rows_,
+                cols.data() + c * stride);
+  }
+  cols_.swap(cols);
+  stride_ = static_cast<uint32_t>(stride);
+}
+
 bool Relation::Insert(const SymbolId* data, std::size_t n) {
   if (!arity_set_) {
     arity_ = static_cast<uint32_t>(n);
     arity_set_ = true;
-    cols_.resize(n);
   }
   assert(n == arity_);
-  // Grow at 7/8 load (keeps probe sequences short; amortised O(1)).
-  if (cap_ == 0 || (num_rows_ + 1) * 8 > cap_ * 7) Grow();
   const std::size_t hash = RowHash(data, n);
   std::size_t insert_slot = 0;
-  if (FindRow(data, n, hash, &insert_slot) != kNotFound) return false;
-  SetCtrl(insert_slot, TagOf(hash));
-  slots_[insert_slot] = num_rows_;
-  for (std::size_t c = 0; c < n; ++c) cols_[c].push_back(data[c]);
+  if (cap_ != 0 && FindRow(data, n, hash, &insert_slot) != kNotFound) {
+    return false;
+  }
+  // Grow at 7/8 load (keeps probe sequences short; amortised O(1)). Only a
+  // new row grows the table, so callers need no membership test first.
+  if (cap_ == 0 || (num_rows_ + 1) * 8 > cap_ * 7) {
+    Grow();
+    PlaceRow(num_rows_, hash);
+  } else {
+    SetCtrl(insert_slot, TagOf(hash));
+    slots()[insert_slot] = num_rows_;
+  }
+  if (num_rows_ == stride_) GrowColumns();
+  for (std::size_t c = 0; c < n; ++c) cols_[c * stride_ + num_rows_] = data[c];
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     if (columns_[c].indexed) columns_[c].index[data[c]].push_back(num_rows_);
   }
@@ -146,7 +167,7 @@ Tuple Relation::Row(std::size_t row) const {
 void Relation::CopyRow(std::size_t row, Tuple* out) const {
   out->clear();
   out->reserve(arity_);
-  for (std::size_t c = 0; c < arity_; ++c) out->push_back(cols_[c][row]);
+  for (std::size_t c = 0; c < arity_; ++c) out->push_back(at(row, c));
 }
 
 bool operator==(const Relation& a, const Relation& b) {
@@ -178,7 +199,7 @@ std::size_t Relation::DistinctInColumn(std::size_t col) const {
   const std::size_t step = std::max<std::size_t>(1, num_rows_ / kSample);
   std::vector<SymbolId> sample;
   sample.reserve(std::min<std::size_t>(num_rows_, kSample + 1));
-  const std::vector<SymbolId>& column = cols_[col];
+  const SymbolId* column = cols_.data() + col * stride_;
   for (std::size_t row = 0; row < num_rows_; row += step) {
     sample.push_back(column[row]);
   }
@@ -208,7 +229,7 @@ const std::vector<uint32_t>* Relation::Probe(std::size_t col,
   ColumnSide& side = Side(col);
   if (!side.indexed) {
     side.indexed = true;
-    const std::vector<SymbolId>& column = cols_[col];
+    const SymbolId* column = cols_.data() + col * stride_;
     for (uint32_t row = 0; row < num_rows_; ++row) {
       side.index[column[row]].push_back(row);
     }

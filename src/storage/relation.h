@@ -16,13 +16,15 @@ namespace chronolog {
 /// every predicate (and, for temporal predicates, every snapshot cell) of an
 /// Interpretation.
 ///
-/// Layout: one flat `SymbolId` vector per column, rows identified by their
-/// append order (`uint32_t` row ids, dense `[0, size())`). Deduplication and
-/// membership run through a compact open-addressing table (swiss-table
-/// style: one control byte per slot holding a 7-bit tag of the row hash,
-/// probed eight slots at a time with SWAR word ops), whose slots store row
-/// ids — so `Insert`/`Contains` touch one contiguous control array plus the
-/// column vectors, never per-tuple heap nodes.
+/// Layout: one column-major `SymbolId` block (each column a contiguous run
+/// of `stride_` values), rows identified by their append order (`uint32_t`
+/// row ids, dense `[0, size())`). Deduplication and membership run through
+/// a compact open-addressing table (swiss-table style: one control byte per
+/// slot holding a 7-bit tag of the row hash, probed eight slots at a time
+/// with SWAR word ops), whose slots store row ids — so `Insert`/`Contains`
+/// touch one contiguous control array plus the columns, never per-tuple
+/// heap nodes. A relation owns two heap blocks, the columns and the table,
+/// however many columns it has.
 ///
 /// Rows are append-only: there is no erase, so row ids are stable for the
 /// lifetime of the relation (truncation at the Interpretation level drops
@@ -47,7 +49,7 @@ class Relation {
 
   /// Value of column `col` in row `row`. No bounds checks in release builds.
   SymbolId at(std::size_t row, std::size_t col) const {
-    return cols_[col][row];
+    return cols_[col * stride_ + row];
   }
 
   /// Inserts the tuple `data[0..n)`; returns true when it was new. `n` must
@@ -106,20 +108,30 @@ class Relation {
                    std::size_t* insert_slot) const;
 
   void Grow();
+  void GrowColumns();
   void PlaceRow(std::size_t row, std::size_t hash);
   void SetCtrl(std::size_t slot, uint8_t byte);
 
-  std::vector<std::vector<SymbolId>> cols_;
+  // Column `c` holds rows `[0, num_rows_)` at `cols_[c * stride_ ...]`;
+  // `stride_` doubles when a row does not fit.
+  std::vector<SymbolId> cols_;
+  uint32_t stride_ = 0;
   uint32_t num_rows_ = 0;
   uint32_t arity_ = 0;
   bool arity_set_ = false;
 
-  // Open-addressing dedup table: `ctrl_` has `cap_ + kGroup - 1` bytes (the
-  // tail mirrors the first kGroup-1 slots so unaligned 8-byte group loads
-  // never wrap), `slots_` has `cap_` row ids. `cap_` is a power of two.
-  std::vector<uint8_t> ctrl_;
-  std::vector<uint32_t> slots_;
+  // Open-addressing dedup table in one block: `cap_` row-id slots, then
+  // `cap_ + kGroup - 1` control bytes (the tail mirrors the first kGroup-1
+  // slots so unaligned 8-byte group loads never wrap). `cap_` is a power
+  // of two.
+  std::vector<uint32_t> table_;
   std::size_t cap_ = 0;
+  uint32_t* slots() { return table_.data(); }
+  const uint32_t* slots() const { return table_.data(); }
+  uint8_t* ctrl() { return reinterpret_cast<uint8_t*>(table_.data() + cap_); }
+  const uint8_t* ctrl() const {
+    return reinterpret_cast<const uint8_t*>(table_.data() + cap_);
+  }
 
   // Per-column side table, sized to the arity on the first DistinctInColumn
   // or Probe call; empty for relations that are only scanned.

@@ -1,7 +1,7 @@
 #include "util/trace.h"
 
-#include <functional>
-#include <thread>
+#include <algorithm>
+#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -21,8 +21,13 @@ thread_local int tls_depth = 0;
 // one thread at a time.
 thread_local uint64_t tls_scope = 0;
 
-uint64_t ThreadId() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
+// Per-process thread number, assigned on the thread's first span; threads
+// after the 65535th share the last number.
+uint16_t ThreadNumber() {
+  static std::atomic<uint32_t> next{0};
+  thread_local const uint16_t number = static_cast<uint16_t>(std::min<uint32_t>(
+      next.fetch_add(1, std::memory_order_relaxed) + 1, UINT16_MAX));
+  return number;
 }
 
 uint64_t ToMicros(std::chrono::steady_clock::duration d) {
@@ -39,15 +44,18 @@ void TraceBuffer::Record(const char* name, int depth,
                          std::chrono::steady_clock::time_point start,
                          std::chrono::steady_clock::time_point end) {
   const uint64_t start_us = start <= epoch_ ? 0 : ToMicros(start - epoch_);
-  const uint64_t dur_us = end <= start ? 0 : ToMicros(end - start);
-  const uint64_t tid = ThreadId();
+  const uint32_t dur_us = static_cast<uint32_t>(std::min<uint64_t>(
+      end <= start ? 0 : ToMicros(end - start), UINT32_MAX));
+  const uint16_t tid = ThreadNumber();
   const uint64_t scope = tls_scope;
   std::lock_guard<std::mutex> lock(mu_);
   if (events_.size() >= capacity_) {
     ++dropped_;
     return;
   }
-  events_.push_back(TraceEvent{name, depth, start_us, dur_us, tid, scope});
+  events_.push_back(TraceEvent{
+      name, start_us, scope, dur_us, tid,
+      static_cast<uint16_t>(std::clamp<int>(depth, 0, UINT16_MAX))});
 }
 
 uint64_t TraceBuffer::OpenScope(std::string_view request_id) {
@@ -116,9 +124,9 @@ std::string TraceBuffer::ToChromeTraceJson(
   }
   const bool filtered = !request_filter.empty();
   // Dense thread ids in first-seen order: Perfetto renders one track per
-  // tid, and 64-bit hash values make unreadable track labels.
-  std::unordered_map<uint64_t, uint64_t> tids;
-  auto dense_tid = [&tids](uint64_t tid) {
+  // tid, numbered from 1 within each export.
+  std::unordered_map<uint16_t, uint64_t> tids;
+  auto dense_tid = [&tids](uint16_t tid) {
     return tids.emplace(tid, tids.size() + 1).first->second;
   };
   std::string out =

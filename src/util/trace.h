@@ -31,14 +31,18 @@ namespace chronolog {
 
 /// One completed span. Times are microseconds relative to the buffer's
 /// construction (its epoch), so traces from one run share a timeline.
+/// An event is 32 bytes: a busy server fills its buffers to capacity (one
+/// span per query), so the event size is what a trace costs per slot.
 struct TraceEvent {
   const char* name;
-  int depth;          // nesting depth on the recording thread (0 = root)
   uint64_t start_us;  // offset from the buffer epoch
-  uint64_t dur_us;
-  uint64_t tid;    // hashed thread id — distinguishes pool workers
-  uint64_t scope;  // TraceScope id the span ran under; 0 = unscoped
+  uint64_t scope;     // TraceScope id the span ran under; 0 = unscoped
+  uint32_t dur_us;    // saturates at UINT32_MAX (about 71 minutes)
+  uint16_t tid;       // per-process thread number (1, 2, ...), saturating
+  uint16_t depth;     // nesting depth on the recording thread (0 = root),
+                      // saturating
 };
+static_assert(sizeof(TraceEvent) == 32);
 
 /// Bounded, mutex-guarded event log. Spans beyond `capacity` are counted in
 /// `dropped()` instead of stored, which keeps long runs (10^5 fixpoint
@@ -78,8 +82,8 @@ class TraceBuffer {
 
   /// Chrome trace-event format: every span becomes a complete ("ph":"X")
   /// event with `pid`/`tid`/`ts`/`dur` in microseconds, so the output opens
-  /// directly in Perfetto (ui.perfetto.dev) or chrome://tracing. Hashed
-  /// thread ids are remapped to small dense ints in first-seen order; the
+  /// directly in Perfetto (ui.perfetto.dev) or chrome://tracing. Thread
+  /// numbers are remapped to dense ints in first-seen order; the
   /// span's nesting depth rides along in `args.depth`, and spans recorded
   /// under a TraceScope carry the request id in `args.request`. A
   /// `process_name` metadata event labels the single process, and `dropped`

@@ -161,6 +161,34 @@ TEST(ColumnarInterpretationTest, ProbeBucketsHoldRowIds) {
   EXPECT_EQ(rel.at((*bucket)[0], 0), a);
 }
 
+// Inserts at the newest time, at a later one and at earlier ones (between
+// cells and before the first) each land in their own cell.
+TEST(ColumnarInterpretationTest, InsertsInAnyTimeOrderLandInTheirCells) {
+  auto vocab = std::make_shared<Vocabulary>();
+  auto p = vocab->DeclarePredicate("p", 1);
+  ASSERT_TRUE(p.ok());
+  vocab->SetTemporal(*p);
+  const SymbolId a = vocab->InternConstant("a");
+  const SymbolId b = vocab->InternConstant("b");
+  Interpretation interp(vocab);
+  EXPECT_TRUE(interp.Insert(*p, 4, {a}));
+  EXPECT_TRUE(interp.Insert(*p, 4, {b}));
+  EXPECT_FALSE(interp.Insert(*p, 4, {a}));
+  EXPECT_TRUE(interp.Insert(*p, 9, {a}));
+  EXPECT_TRUE(interp.Insert(*p, 6, {b}));
+  EXPECT_TRUE(interp.Insert(*p, 1, {a}));
+  EXPECT_FALSE(interp.Insert(*p, 6, {b}));
+  EXPECT_EQ(interp.size(), 5u);
+  std::vector<std::pair<int64_t, std::size_t>> cells;
+  for (const auto& [time, rel] : interp.Timeline(*p)) {
+    cells.emplace_back(time, rel.size());
+  }
+  EXPECT_EQ(cells, (std::vector<std::pair<int64_t, std::size_t>>{
+                       {1, 1}, {4, 2}, {6, 1}, {9, 1}}));
+  EXPECT_TRUE(interp.Contains(*p, 6, {b}));
+  EXPECT_FALSE(interp.Contains(*p, 6, {a}));
+}
+
 TEST(ColumnarInterpretationTest, ForEachEnumeratesEveryFact) {
   auto vocab = std::make_shared<Vocabulary>();
   auto e = vocab->DeclarePredicate("e", 1);

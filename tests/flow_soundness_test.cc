@@ -134,10 +134,12 @@ TEST(FlowSoundnessTest, StaticBoundsAgreeWithTheDynamicDetector) {
     // (iii) The degree claim: |p at one time| <= n^k. B holds every
     // representative time, so its cells are all the sizes the model takes.
     std::map<std::pair<PredicateId, int64_t>, uint64_t> cell_sizes;
-    baseline->primary().ForEach(
-        [&](PredicateId pred, int64_t time, const Tuple&) {
-          ++cell_sizes[{pred, time}];
-        });
+    for (PredicateId pred : baseline->primary().vocab().AllPredicates()) {
+      baseline->primary().ForEachCell(
+          pred, [&](int64_t time, std::size_t size) {
+            cell_sizes[{pred, time}] = size;
+          });
+    }
     const uint64_t n = DatabaseSizeMeasure(unit->database);
     for (const auto& [cell, size] : cell_sizes) {
       const int k = analysis.degrees.degree[cell.first];

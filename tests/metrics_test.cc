@@ -394,6 +394,21 @@ TEST(TraceTest, ChromeTraceJsonNestsContainedSpans) {
             events[1].start_us + events[1].dur_us);
 }
 
+// Events store durations in 32 bits of microseconds and depths in 16 bits;
+// a larger value records the largest one instead of wrapping to a small one.
+TEST(TraceTest, OverlongSpanDurationAndDepthSaturate) {
+  TraceBuffer buf;
+  const auto start = std::chrono::steady_clock::now();
+  buf.Record("long", 70000, start, start + std::chrono::hours(100));
+  buf.Record("short", 3, start, start + std::chrono::microseconds(7));
+  const std::vector<TraceEvent> events = buf.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].dur_us, UINT32_MAX);
+  EXPECT_EQ(events[0].depth, UINT16_MAX);
+  EXPECT_EQ(events[1].dur_us, 7u);
+  EXPECT_EQ(events[1].depth, 3);
+}
+
 TEST(TraceTest, ChromeTraceJsonEmptyBuffer) {
   TraceBuffer buf;
   const std::string json = buf.ToChromeTraceJson();

@@ -2,6 +2,7 @@
 // errors, never crashes — the engine is a library, not a REPL toy.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <random>
 #include <string>
@@ -132,9 +133,48 @@ TEST(RobustnessTest, DuplicateFactsAreDeduplicated) {
   ASSERT_TRUE(tdd.ok());
   auto spec = tdd->specification();
   ASSERT_TRUE(spec.ok());
-  EXPECT_EQ((*spec)->primary().Snapshot(
-                tdd->vocab().FindPredicate("p"), 0).size(),
+  EXPECT_EQ((*spec)->primary().CellSize(tdd->vocab().FindPredicate("p"), 0),
             1u);
+}
+
+// A serialised specification is untrusted input: its header may declare a
+// period of 10^12 representative terms with only two facts. `B` must cost
+// memory for the facts, not for |T|, and deep lookups must still fold to
+// the right representative.
+TEST(RobustnessTest, HugePeriodHeaderLoadsInBoundedMemory) {
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  auto spec = DeserializeSpecification(
+      "%!chronolog-spec 1\n%!period b=0 p=1000000000000 c=0\n"
+      "p(0, a).\np(999999999999, b).\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  // ru_maxrss is in kilobytes; anything sized by |T| would need terabytes.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+  EXPECT_EQ(spec->num_representatives(), 1000000000000);
+  EXPECT_EQ(spec->SizeInFacts(), 2u);
+  const Vocabulary& vocab = spec->primary().vocab();
+  std::size_t cells = 0;
+  spec->primary().ForEachCell(vocab.FindPredicate("p"),
+                              [&](int64_t, std::size_t) { ++cells; });
+  EXPECT_EQ(cells, 2u);
+  auto ask = [&](const std::string& text) {
+    auto atom = ParseGroundAtom(text, vocab);
+    EXPECT_TRUE(atom.ok()) << atom.status();
+    return atom.ok() && spec->Ask(*atom);
+  };
+  // 10^15 = 1000 * 10^12 folds to 0; 10^15 - 1 folds to 10^12 - 1.
+  EXPECT_TRUE(ask("p(1000000000000000, a)"));
+  EXPECT_FALSE(ask("p(1000000000000000, b)"));
+  EXPECT_TRUE(ask("p(999999999999999, b)"));
+  EXPECT_FALSE(ask("p(999999999999999, a)"));
+  EXPECT_FALSE(ask("p(500000000000001, a)"));
+  // A fact at a time >= |T| is still rejected.
+  auto beyond = DeserializeSpecification(
+      "%!chronolog-spec 1\n%!period b=0 p=1000000000000 c=0\n"
+      "p(0, a).\np(1000000000000, b).\n");
+  EXPECT_EQ(beyond.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RobustnessTest, SelfSatisfyingRule) {

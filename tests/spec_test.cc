@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "ast/parser.h"
 #include "eval/fixpoint.h"
 #include "query/query_parser.h"
@@ -231,6 +236,89 @@ TEST(SpecificationTest, ToStringMentionsAllComponents) {
   EXPECT_NE(text.find("T = {0, ..., 1}"), std::string::npos) << text;
   EXPECT_NE(text.find("W = {2 -> 0}"), std::string::npos) << text;
   EXPECT_NE(text.find("even(0)"), std::string::npos) << text;
+}
+
+// Freezing keeps exactly the facts of the model truncated to the
+// representative segment, sorted by (pred, time, args), with the constant
+// domain they span.
+TEST(SpecificationTest, FrozenPrimaryHoldsExactlyTheTruncatedModel) {
+  std::mt19937 rng(3);
+  for (const std::string& source :
+       {workload::TokenRingSource({3, 5, 7}),
+        workload::SkiScheduleSource(3, 20, 6, 2),
+        workload::PathProgramSource() +
+            workload::RandomGraphFactsSource(64, 160, &rng)}) {
+    ParsedUnit unit = MustParse(source);
+    auto detection = DetectPeriod(unit.program, unit.database);
+    ASSERT_TRUE(detection.ok()) << detection.status();
+    // The freeze itself drops the cells after the representative segment.
+    const int64_t last =
+        detection->period.b + detection->c + detection->period.p - 1;
+    Interpretation model = std::move(detection->model);
+    Interpretation expected = model;
+    expected.TruncateInPlace(last);
+    ASSERT_GT(model.MaxTime(), last);
+    const PrimaryDatabase frozen(std::move(model), last);
+    EXPECT_EQ(frozen.size(), expected.size());
+
+    std::set<SymbolId> constants;
+    std::vector<std::tuple<PredicateId, int64_t, Tuple>> facts;
+    frozen.ForEach([&](PredicateId pred, int64_t time, const Tuple& args) {
+      facts.emplace_back(pred, time, args);
+      constants.insert(args.begin(), args.end());
+      EXPECT_TRUE(expected.Contains(pred, time, args));
+      EXPECT_TRUE(frozen.Contains(pred, time, args.data(), args.size()));
+      if (!args.empty()) {
+        // A row that differs in its last argument is absent unless the
+        // model holds it too.
+        Tuple other = args;
+        other.back() += 100000;
+        EXPECT_FALSE(frozen.Contains(pred, time, other.data(), other.size()));
+      }
+    });
+    EXPECT_EQ(facts.size(), expected.size());
+    EXPECT_TRUE(std::is_sorted(facts.begin(), facts.end()));
+    EXPECT_TRUE(std::adjacent_find(facts.begin(), facts.end()) ==
+                facts.end());
+    EXPECT_EQ(frozen.constants(),
+              std::vector<SymbolId>(constants.begin(), constants.end()));
+    for (PredicateId pred : frozen.vocab().AllPredicates()) {
+      frozen.ForEachCell(pred, [&](int64_t time, std::size_t size) {
+        const std::size_t want =
+            frozen.IsTemporal(pred) ? expected.Snapshot(pred, time).size()
+                                    : expected.NonTemporal(pred).size();
+        EXPECT_EQ(size, want);
+        EXPECT_EQ(frozen.CellSize(pred, time), want);
+      });
+    }
+  }
+}
+
+// Cells inserted in descending order come out sorted: a small cell (index
+// sort) and a large cell of dense values (radix). A cell after the last
+// frozen time is dropped.
+TEST(SpecificationTest, FreezeSortsUnsortedCells) {
+  ParsedUnit unit = MustParse("@temporal q/3.\n");
+  const PredicateId q = unit.program.vocab().FindPredicate("q");
+  Interpretation model(unit.program.vocab_ptr());
+  const std::vector<std::pair<int64_t, SymbolId>> cells = {{0, 5}, {1, 1000}};
+  for (const auto& [time, n] : cells) {
+    for (SymbolId i = n; i-- > 0;) model.Insert(q, time, Tuple{i % 7, i});
+  }
+  const Interpretation expected = model;
+  model.Insert(q, 2, Tuple{0, 0});
+  const PrimaryDatabase frozen(std::move(model), /*last_time=*/1);
+  std::vector<std::pair<int64_t, Tuple>> facts;
+  frozen.ForEach([&](PredicateId, int64_t time, const Tuple& args) {
+    facts.emplace_back(time, args);
+    EXPECT_TRUE(expected.Contains(q, time, args));
+    EXPECT_TRUE(frozen.Contains(q, time, args.data(), args.size()));
+  });
+  EXPECT_EQ(facts.size(), expected.size());
+  EXPECT_EQ(frozen.size(), expected.size());
+  EXPECT_TRUE(std::is_sorted(facts.begin(), facts.end()));
+  for (const auto& [time, n] : cells) EXPECT_EQ(frozen.CellSize(q, time), n);
+  EXPECT_EQ(frozen.CellSize(q, 2), 0u);
 }
 
 TEST(SpecificationTest, BuildInfoReportsDetector) {
