@@ -135,7 +135,7 @@ EXACT = {"eval.match_steps": 7385676,
          "eval.inserted": 1928996,
          "spec.detection_horizon": 63909,
          "period.doublings": 10}
-AT_MOST = {"eval.allocs_per_derived": 0.3893}
+AT_MOST = {"eval.allocs_per_derived": 0.0788}
 failures = []
 for name, pinned in EXACT.items():
     if metrics.get(name) != pinned:

@@ -1,6 +1,7 @@
 #include "eval/fixpoint.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "util/metrics.h"
@@ -33,45 +34,56 @@ struct TaskPair {
   int pos;
 };
 
-/// Folds `fact` into `full`, maintaining inserted/min_new_time stats.
-/// Returns whether the fact was new.
-bool InsertIntoFull(const Vocabulary& vocab, Interpretation& full,
-                    PredicateId pred, int64_t time, const Tuple& args,
-                    EvalStats* stats) {
-  if (!full.Insert(pred, time, args)) return false;
+/// Counts a fact new to the model in the inserted/min_new_time stats.
+void CountNew(const Vocabulary& vocab, PredicateId pred, int64_t time,
+              EvalStats* stats) {
   ++stats->inserted;
   if (vocab.predicate(pred).is_temporal) {
     stats->min_new_time = std::min(stats->min_new_time, time);
   }
-  return true;
 }
 
-/// Folds the database facts within `[0...max_time]` into `full`; the new
-/// ones also go to `delta` when it is non-null.
+/// Folds the database facts within `[0...max_time]` into `full`, counting
+/// the new ones.
 void SeedDatabase(const Vocabulary& vocab, const Database& db,
-                  int64_t max_time, Interpretation& full,
-                  Interpretation* delta, EvalStats* stats) {
+                  int64_t max_time, Interpretation& full, EvalStats* stats) {
   for (const GroundAtom& f : db.facts()) {
-    if (WithinBound(vocab, f, max_time) &&
-        InsertIntoFull(vocab, full, f.pred, f.time, f.args, stats) &&
-        delta != nullptr) {
-      delta->Insert(f);
+    if (WithinBound(vocab, f, max_time) && full.Insert(f)) {
+      CountNew(vocab, f.pred, f.time, stats);
     }
   }
 }
 
+/// A cell that gained rows in the running round, with its watermark set.
+struct TouchedCell {
+  PredicateId pred;
+  int64_t time;
+  Relation* cell;
+};
+
 /// The shared semi-naive round loop: iterates `full`/`delta` to the least
-/// fixpoint of the truncated operator. `delta` must be a subset of `full`
+/// fixpoint of the truncated operator. `delta` holds row ranges of `full`
 /// (the facts not yet consumed by any rule). The first round evaluates every
 /// (rule, delta-position) pair — the initial delta may contain EDB facts —
 /// while later rounds skip positions whose body atom has a predicate no rule
 /// derives: after round one the delta only ever holds derived (IDB) facts.
+/// `full` must have a slot for every predicate of the vocabulary before
+/// `delta` is built (construction gives it one): the loop holds cell
+/// pointers across inserts, which must not move a relation.
+///
+/// Round discipline: each new fact goes straight into `full`, with one
+/// insert-or-find, but the first insert into a cell sets the cell's
+/// watermark to its row count, which hides the round's own rows from every
+/// (rule, position) pair of the round. The counters the benchmark gate pins
+/// depend on this: letting a later pair see this round's facts would change
+/// which instantiations each round enumerates. Publishing the round turns
+/// the rows above each watermark into the next delta's ranges and clears
+/// the watermarks.
 Status RunSemiNaiveRounds(const Program& program,
                           const FixpointOptions& options, EvalStats* stats,
-                          Interpretation& full, Interpretation&& delta_in,
+                          Interpretation& full, Delta& delta,
                           const DerivationHook& on_derive = nullptr) {
   const Vocabulary& vocab = program.vocab();
-  Interpretation delta = std::move(delta_in);
 
   // chronolog_obs instruments, fetched up front (before the first round) so
   // that an instrument still empty after a metered run flags dead
@@ -113,61 +125,79 @@ Status RunSemiNaiveRounds(const Program& program,
     }
   }
 
-  // Ground body atoms of the current instantiation, filled only for a hook.
+  // State of the running round, reused across rounds: the cells it
+  // appended to, the task being evaluated, and the ground body atoms of
+  // the current instantiation (filled only for a hook).
+  std::vector<TouchedCell> touched;
+  Delta next;
+  const TaskPair* task = nullptr;
   std::vector<GroundAtom> premises;
+  bool overflow = false;
+  // Bound once per loop, so no evaluation re-wraps (or allocates) it.
+  const std::function<void(GroundAtom&&)> insert = [&](GroundAtom&& fact) {
+    if (!WithinBound(vocab, fact, options.max_time)) return;
+    Relation* cell = full.InsertReturningCell(fact.pred, fact.time,
+                                              fact.args.data(),
+                                              fact.args.size());
+    if (cell == nullptr) return;
+    CountNew(vocab, fact.pred, fact.time, stats);
+    if (!cell->has_watermark()) {
+      cell->set_watermark(cell->size() - 1);
+      touched.push_back({fact.pred, fact.time, cell});
+    }
+    if (on_derive) on_derive(task->rule, fact, premises);
+    if (full.size() > options.max_facts) overflow = true;
+  };
+  // Turns the rows above each touched cell's watermark into `next` and
+  // clears the watermarks.
+  auto publish = [&]() {
+    next.Clear();
+    for (const TouchedCell& t : touched) {
+      next.Add({t.pred, static_cast<uint32_t>(t.cell->visible_size()),
+                static_cast<uint32_t>(t.cell->size()), t.time, t.cell});
+      t.cell->clear_watermark();
+    }
+    touched.clear();
+    next.Index(vocab.num_predicates());
+  };
+
   bool first_round = true;
   while (!delta.empty()) {
     ++stats->iterations;
     if (rounds_counter != nullptr) rounds_counter->Add();
     if (delta_hist != nullptr) delta_hist->RecordValue(delta.size());
-    TraceSpan round_span(options.trace, "fixpoint.round");
+    // With a registry attached every round is timed — metered runs want the
+    // small rounds in the histogram. Untimed rounds record no spans either:
+    // 10^5 one-fact rounds would otherwise fill the trace buffer.
+    const bool timed =
+        metrics != nullptr || delta.size() >= kTimedDeltaThreshold;
+    TraceBuffer* const trace = timed ? options.trace : nullptr;
+    TraceSpan round_span(trace, "fixpoint.round");
     const std::vector<TaskPair>& pairs =
         first_round ? all_pairs : steady_pairs;
     first_round = false;
 
-    // Derivations are buffered into `next_delta` and merged into `full`
-    // after the round — round discipline, not iterator safety (relations are
-    // append-only, so cursors survive inserts): `delta` must hold exactly
-    // the previous round's new facts. Inserting into `full` mid-round would
-    // let later (rule, position) pairs of the same round see this round's
-    // facts, changing which instantiations each round enumerates and with
-    // it the derived/match_steps counters the benchmark gate pins.
-    Interpretation next_delta(program.vocab_ptr());
-    bool overflow = false;
-    // With a registry attached every round is timed — metered runs want the
-    // small rounds in the histogram.
-    const bool timed =
-        metrics != nullptr || delta.size() >= kTimedDeltaThreshold;
-
     {
-      TraceSpan derive_span(options.trace, "fixpoint.derive");
+      TraceSpan derive_span(trace, "fixpoint.derive");
       PhaseTimer derive_timer(timed, &stats->derive_ms, derive_hist);
-      for (const TaskPair& task : pairs) {
-        evaluators[task.rule].Evaluate(
-            full, &delta, task.pos, /*time_binding=*/std::nullopt, stats,
-            [&](GroundAtom&& fact) {
-              if (!WithinBound(vocab, fact, options.max_time)) return;
-              if (full.Contains(fact)) return;
-              if (!next_delta.Insert(fact.pred, fact.time, fact.args)) return;
-              if (on_derive) on_derive(task.rule, fact, premises);
-              if (full.size() + next_delta.size() > options.max_facts) {
-                overflow = true;
-              }
-            },
-            on_derive ? &premises : nullptr);
-        if (overflow) return TooLarge(options.max_facts);
+      for (const TaskPair& t : pairs) {
+        task = &t;
+        evaluators[t.rule].Evaluate(full, &delta, t.pos,
+                                    /*time_binding=*/std::nullopt, stats,
+                                    insert, on_derive ? &premises : nullptr);
+        if (overflow) {
+          publish();
+          return TooLarge(options.max_facts);
+        }
       }
     }
 
     {
-      TraceSpan merge_span(options.trace, "fixpoint.merge");
+      TraceSpan merge_span(trace, "fixpoint.merge");
       PhaseTimer merge_timer(timed, &stats->merge_ms, merge_hist);
-      next_delta.ForEach(
-          [&](PredicateId pred, int64_t time, const Tuple& args) {
-            InsertIntoFull(vocab, full, pred, time, args, stats);
-          });
+      publish();
     }
-    delta = std::move(next_delta);
+    std::swap(delta, next);
   }
   // Overwrites wholesale: when the doubling detector runs several
   // fixpoints, the last (widest-horizon) one's plans are the ones EXPLAIN
@@ -257,8 +287,7 @@ Result<Interpretation> NaiveFixpoint(const Program& program,
   Interpretation current(program.vocab_ptr());
   // Database seeds are counted here: from the first pass on, ApplyTp sees
   // them as already present in its input and reports only derived news.
-  SeedDatabase(program.vocab(), db, options.max_time, current,
-               /*delta=*/nullptr, stats);
+  SeedDatabase(program.vocab(), db, options.max_time, current, stats);
   while (true) {
     ++stats->iterations;
     if (passes != nullptr) passes->Add();
@@ -281,10 +310,12 @@ Result<Interpretation> SemiNaiveFixpoint(const Program& program,
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   Interpretation full(program.vocab_ptr());
-  Interpretation delta(program.vocab_ptr());
-  SeedDatabase(program.vocab(), db, options.max_time, full, &delta, stats);
-  Status status = RunSemiNaiveRounds(program, options, stats, full,
-                                     std::move(delta), on_derive);
+  SeedDatabase(program.vocab(), db, options.max_time, full, stats);
+  Delta delta;
+  delta.AddCells(full, /*from_time=*/0, /*non_temporal=*/true);
+  delta.Index(program.vocab().num_predicates());
+  Status status =
+      RunSemiNaiveRounds(program, options, stats, full, delta, on_derive);
   if (!status.ok()) return status;
   return full;
 }
@@ -308,27 +339,11 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
   const int64_t g = std::max<int64_t>(1, program.MaxTemporalDepth());
 
   Interpretation full = std::move(prior);
-  Interpretation delta(program.vocab_ptr());
+  // `prior` may predate predicates the vocabulary gained since.
+  full.ReservePredicates();
 
   // (a) Database facts the old bound truncated away.
-  SeedDatabase(vocab, db, options.max_time, full, &delta, stats);
-
-  // (b) The frontier: every fact at time > prior_max_time - g (see the
-  // header for why this window suffices). These facts are already in `full`;
-  // re-listing them in the delta re-fires the rules they can feed.
-  for (PredicateId pred : vocab.AllPredicates()) {
-    if (!vocab.predicate(pred).is_temporal) continue;
-    const auto& timeline = full.Timeline(pred);
-    for (auto it = timeline.lower_bound(prior_max_time - g + 1);
-         it != timeline.end(); ++it) {
-      const Relation& cell = it->second;
-      Tuple scratch;
-      for (uint32_t row = 0; row < cell.size(); ++row) {
-        cell.CopyRow(row, &scratch);
-        delta.Insert(pred, it->first, scratch);
-      }
-    }
-  }
+  SeedDatabase(vocab, db, options.max_time, full, stats);
 
   // (c) Rules with a ground temporal head derive at a fixed time that may
   // lie anywhere in the new segment; one explicit evaluation pass catches
@@ -349,14 +364,18 @@ Result<Interpretation> ExtendFixpoint(const Program& program,
                          ground_head_facts.push_back(std::move(fact));
                        });
   }
-  for (GroundAtom& fact : ground_head_facts) {
-    if (InsertIntoFull(vocab, full, fact.pred, fact.time, fact.args, stats)) {
-      delta.Insert(std::move(fact));
-    }
+  for (const GroundAtom& fact : ground_head_facts) {
+    if (full.Insert(fact)) CountNew(vocab, fact.pred, fact.time, stats);
   }
 
-  Status status =
-      RunSemiNaiveRounds(program, options, stats, full, std::move(delta));
+  // (b) The frontier: every cell at time > prior_max_time - g, as a whole
+  // (see the header for why this window suffices). It holds the facts (a)
+  // and (c) added, all past prior_max_time, and re-lists the old facts the
+  // new segment's rules can read.
+  Delta delta;
+  delta.AddCells(full, prior_max_time - g + 1, /*non_temporal=*/false);
+  delta.Index(vocab.num_predicates());
+  Status status = RunSemiNaiveRounds(program, options, stats, full, delta);
   if (!status.ok()) return status;
   return full;
 }

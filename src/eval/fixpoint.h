@@ -66,6 +66,9 @@ using DerivationHook =
 /// Semi-naive variant: each round matches one body atom against the facts
 /// newly derived in the previous round. Produces the same fixpoint as
 /// NaiveFixpoint while avoiding re-derivation (benchmarked as experiment E8).
+/// Each new fact is inserted into the model once; a per-cell round
+/// watermark hides it from the rest of its round, and the next round's
+/// delta is the row ranges the cells gained (see `Delta`).
 /// A non-empty `on_derive` sees every derivation that adds a fact.
 Result<Interpretation> SemiNaiveFixpoint(
     const Program& program, const Database& db,
@@ -80,7 +83,8 @@ Result<Interpretation> SemiNaiveFixpoint(
 /// to a from-scratch fixpoint at that bound.
 ///
 /// The semi-naive delta is seeded with exactly the facts that can feed a
-/// derivation absent from `prior`:
+/// derivation absent from `prior`, all of them in whole cells at times
+/// `> prior_max_time - g`:
 ///  * database facts beyond `prior_max_time` that the old bound truncated;
 ///  * the frontier — facts at times `> prior_max_time - g`, where `g` is the
 ///    program's maximal temporal depth: a rule instantiation whose head

@@ -1,6 +1,7 @@
 #include "eval/forward.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -120,10 +121,13 @@ Result<PeriodDetection> ForwardSimulate(
   // cursors and probe buckets stay valid while a cell grows, and a scan
   // simply also visits the rows added behind it. Passes repeat while one
   // inserts something and `repeat` holds.
+  const std::function<void(GroundAtom&&)> insert = [&](GroundAtom&& fact) {
+    if (model.Insert(fact)) ++result.stats.inserted;
+  };
   auto close = [&](std::optional<int64_t> t, bool repeat) -> Status {
-    bool changed;
+    uint64_t inserted_before;
     do {
-      changed = false;
+      inserted_before = result.stats.inserted;
       for (std::size_t i = 0; i < evaluators.size(); ++i) {
         const Atom& head = program.rules()[i].head;
         if (head.temporal() != t.has_value()) continue;
@@ -134,17 +138,13 @@ Result<PeriodDetection> ForwardSimulate(
           binding.emplace(head.time->var, v);
         }
         evaluators[i].Evaluate(model, nullptr, -1, binding, &result.stats,
-                               [&](GroundAtom&& fact) {
-                                 if (!model.Insert(fact)) return;
-                                 ++result.stats.inserted;
-                                 changed = true;
-                               });
+                               insert);
       }
       if (model.size() > options.max_facts) {
         return ResourceExhaustedError("ForwardSimulate exceeded max_facts = " +
                                       std::to_string(options.max_facts));
       }
-    } while (repeat && changed);
+    } while (repeat && result.stats.inserted != inserted_before);
     return Status();
   };
 
@@ -171,7 +171,8 @@ Result<PeriodDetection> ForwardSimulate(
           "(Theorem 3.1)");
     }
     if (steps_counter != nullptr) steps_counter->Add();
-    TraceSpan step_span(options.trace, "forward.timestep");
+    // No span per timestep: rings/6 alone simulates 30030 of them, which
+    // would fill the trace buffer. The histograms carry the per-step times.
     PhaseTimer step_timer(metrics != nullptr, /*field=*/nullptr, step_hist);
     // Within-timestep fixpoint: all rules whose head lands on `t`.
     CHRONOLOG_RETURN_IF_ERROR(close(t, same_time_feedback));
@@ -180,7 +181,6 @@ Result<PeriodDetection> ForwardSimulate(
     state_hashes.push_back(model.SnapshotHash(t));
     result.horizon = t;
 
-    TraceSpan detect_span(options.trace, "forward.detection");
     PhaseTimer detect_timer(metrics != nullptr, /*field=*/nullptr,
                             detect_hist);
     // Period detection: windows of g consecutive states starting at

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "util/metrics.h"
@@ -18,11 +19,45 @@ struct Bindings {
   std::vector<SymbolId> nval;
   std::vector<char> bound;
 
-  explicit Bindings(std::size_t n) : tval(n, 0), nval(n, 0), bound(n, 0) {}
+  /// Unbinds all `n` variables, keeping the arrays' capacity.
+  void Reset(std::size_t n) {
+    tval.assign(n, 0);
+    nval.assign(n, 0);
+    bound.assign(n, 0);
+  }
 };
 
 /// Undo log of variables bound while matching one atom.
 using Trail = std::vector<VarId>;
+
+/// No delta range bounds a cursor: it stops at the cell's visible rows.
+constexpr uint32_t kOpenEnd = ~uint32_t{0};
+
+/// Immutable per-step facts of one evaluation, gathered from the plan
+/// outside the hot loop.
+struct StepInfo {
+  const Atom* atom;
+  bool is_delta;
+  int probe_col;
+};
+
+/// One frame per join step. A frame enumerates the candidate rows of its
+/// atom: a bucket (index probe) or a scan of one cell's rows `[idx, end)`,
+/// clipped to the cell's visible rows, or — for an atom whose temporal
+/// variable is still free — a walk over the predicate's cells (its model
+/// timeline or its delta ranges), one cell at a time.
+struct Frame {
+  const Relation* rel = nullptr;                  // current cell, null = done
+  const std::vector<uint32_t>* bucket = nullptr;  // probe rows, or null
+  std::size_t idx = 0;      // cursor into bucket, or the next row to scan
+  uint32_t end = kOpenEnd;  // end of the current delta range
+  // Cell walk, active when `tvar` is set.
+  std::map<int64_t, Relation>::const_iterator tl_it, tl_end;
+  const Delta::Range* range_it = nullptr;
+  const Delta::Range* range_end = nullptr;
+  VarId tvar = kNoVar;  // temporal var this frame binds per cell
+  std::size_t trail_mark = 0;
+};
 
 /// Matches the non-temporal argument vector of `atom` against row `row` of
 /// `rel`, binding fresh variables (recorded on `trail`). Returns false on
@@ -54,6 +89,68 @@ void Unwind(const Trail& trail, std::size_t from, Bindings* b) {
 }
 
 }  // namespace
+
+std::span<const Delta::Range> Delta::ranges(PredicateId pred) const {
+  if (static_cast<std::size_t>(pred) + 1 >= pred_begin_.size()) return {};
+  return std::span<const Range>(ranges_.data() + pred_begin_[pred],
+                                ranges_.data() + pred_begin_[pred + 1]);
+}
+
+const Delta::Range* Delta::Find(PredicateId pred, int64_t time) const {
+  const std::span<const Range> rs = ranges(pred);
+  auto it = std::lower_bound(
+      rs.begin(), rs.end(), time,
+      [](const Range& r, int64_t t) { return r.time < t; });
+  return it != rs.end() && it->time == time ? &*it : nullptr;
+}
+
+void Delta::Clear() {
+  ranges_.clear();
+  pred_begin_.clear();
+  size_ = 0;
+}
+
+void Delta::Add(const Range& range) {
+  assert(range.begin < range.end);
+  ranges_.push_back(range);
+  size_ += range.end - range.begin;
+}
+
+void Delta::AddCells(const Interpretation& model, int64_t from_time,
+                     bool non_temporal) {
+  const Vocabulary& vocab = model.vocab();
+  for (PredicateId pred : vocab.AllPredicates()) {
+    if (!vocab.predicate(pred).is_temporal) {
+      const Relation& rel = model.NonTemporal(pred);
+      if (non_temporal && !rel.empty()) {
+        Add({pred, 0, static_cast<uint32_t>(rel.size()), 0, &rel});
+      }
+      continue;
+    }
+    const auto& timeline = model.Timeline(pred);
+    for (auto it = timeline.lower_bound(from_time); it != timeline.end();
+         ++it) {
+      if (it->second.empty()) continue;
+      Add({pred, 0, static_cast<uint32_t>(it->second.size()), it->first,
+           &it->second});
+    }
+  }
+}
+
+void Delta::Index(std::size_t num_predicates) {
+  std::sort(ranges_.begin(), ranges_.end(),
+            [](const Range& a, const Range& b) {
+              return a.pred != b.pred ? a.pred < b.pred : a.time < b.time;
+            });
+  pred_begin_.assign(num_predicates + 1, 0);
+  for (const Range& r : ranges_) {
+    assert(r.pred < num_predicates);
+    ++pred_begin_[r.pred + 1];
+  }
+  for (std::size_t p = 0; p < num_predicates; ++p) {
+    pred_begin_[p + 1] += pred_begin_[p];
+  }
+}
 
 /// One cached join order for a (delta position, time-bound) configuration.
 /// `steps` fixes the atom order and, per atom, the probe column the planner
@@ -91,13 +188,22 @@ struct RuleEvaluator::PlanCache {
   }
 };
 
+struct RuleEvaluator::Scratch {
+  Bindings bindings;
+  Trail trail;
+  std::vector<StepInfo> steps;
+  std::vector<Frame> frames;
+  GroundAtom head;
+};
+
 RuleEvaluator::RuleEvaluator(const Rule& rule, const Vocabulary& vocab,
                              bool use_index, MetricsRegistry* metrics)
     : rule_(rule),
       vocab_(vocab),
       use_index_(use_index),
       plans_(std::make_unique<PlanCache>((rule.body.size() + 1) * 2,
-                                         metrics)) {}
+                                         metrics)),
+      scratch_(std::make_unique<Scratch>()) {}
 
 RuleEvaluator::~RuleEvaluator() = default;
 RuleEvaluator::RuleEvaluator(RuleEvaluator&&) noexcept = default;
@@ -109,7 +215,7 @@ std::size_t RuleEvaluator::SlotKey(int delta_pos, bool time_bound) const {
 }
 
 std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
-    const Interpretation& full, const Interpretation* delta, int delta_pos,
+    const Interpretation& full, const Delta* delta, int delta_pos,
     bool time_bound) const {
   auto plan = std::make_unique<JoinPlan>();
   const std::size_t n = rule_.body.size();
@@ -133,44 +239,60 @@ std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
       const Atom& atom = rule_.body[pos];
       const bool is_delta =
           delta != nullptr && static_cast<int>(pos) == delta_pos;
-      const Interpretation& source = is_delta ? *delta : full;
       // Base cardinality: how many candidate tuples reaching this atom
-      // would enumerate without a probe.
-      double rows = 0;
+      // would enumerate without a probe. Statistics come from the rows the
+      // matcher will see: the delta's ranges, or the model's visible rows.
+      // `stats_rel` is the largest such cell; a delta range's distinct
+      // counts are sampled fresh from the range itself.
+      double total = 0;
+      std::size_t cells = 0;
       const Relation* stats_rel = nullptr;
-      if (!atom.temporal()) {
-        const Relation& rel = source.NonTemporal(atom.pred);
-        rows = static_cast<double>(rel.size());
-        stats_rel = &rel;
-      } else {
-        const auto& timeline = source.Timeline(atom.pred);
-        double total = 0;
-        for (const auto& [time, cell] : timeline) {
-          total += static_cast<double>(cell.size());
-          if (stats_rel == nullptr || cell.size() > stats_rel->size()) {
-            stats_rel = &cell;
-          }
+      std::size_t stats_begin = 0;
+      std::size_t stats_end = 0;
+      auto add_cell = [&](const Relation& rel, std::size_t begin,
+                          std::size_t end) {
+        total += static_cast<double>(end - begin);
+        ++cells;
+        if (stats_rel == nullptr || end - begin > stats_end - stats_begin) {
+          stats_rel = &rel;
+          stats_begin = begin;
+          stats_end = end;
         }
+      };
+      if (is_delta) {
+        for (const Delta::Range& r : delta->ranges(atom.pred)) {
+          add_cell(*r.cell, r.begin, r.end);
+        }
+      } else if (!atom.temporal()) {
+        const Relation& rel = full.NonTemporal(atom.pred);
+        add_cell(rel, 0, rel.visible_size());
+      } else {
+        for (const auto& [time, cell] : full.Timeline(atom.pred)) {
+          if (cell.visible_size() > 0) add_cell(cell, 0, cell.visible_size());
+        }
+      }
+      double rows = total;
+      if (atom.temporal()) {
         const TemporalTerm& tt = *atom.time;
         const bool t_known = tt.ground() || known[tt.var];
         // Known time: one snapshot (average cell). Unknown: the whole
         // timeline is enumerated, and matching binds the temporal variable.
-        rows = t_known && !timeline.empty()
-                   ? total / static_cast<double>(timeline.size())
-                   : total;
+        if (t_known && cells > 0) rows = total / static_cast<double>(cells);
       }
       // Probe-column choice: among columns whose value will be known when
       // the atom is reached, the one with the largest fan-out (sampled
       // distinct count) shrinks the candidate set the most.
       int col = -1;
       double est = rows;
-      if (use_index_ && stats_rel != nullptr && !stats_rel->empty()) {
+      if (use_index_ && stats_rel != nullptr && stats_end > stats_begin) {
         for (std::size_t i = 0; i < atom.args.size(); ++i) {
           const NtTerm& t = atom.args[i];
           if (!t.is_constant() && !known[t.id]) continue;
+          const std::size_t distinct =
+              is_delta ? stats_rel->SampleDistinct(i, stats_begin, stats_end)
+                       : stats_rel->DistinctInColumn(i);
           const double fan =
-              rows / static_cast<double>(std::max<std::size_t>(
-                         1, stats_rel->DistinctInColumn(i)));
+              rows / static_cast<double>(std::max<std::size_t>(1, distinct));
           if (col < 0 || fan < est) {
             est = fan;
             col = static_cast<int>(i);
@@ -209,7 +331,7 @@ std::unique_ptr<RuleEvaluator::JoinPlan> RuleEvaluator::BuildPlan(
 }
 
 RuleEvaluator::JoinPlan* RuleEvaluator::GetOrBuildPlan(
-    const Interpretation& full, const Interpretation* delta, int delta_pos,
+    const Interpretation& full, const Delta* delta, int delta_pos,
     bool time_bound) const {
   PlanCache& cache = *plans_;
   std::unique_ptr<JoinPlan>& slot = cache.slots[SlotKey(delta_pos, time_bound)];
@@ -258,17 +380,20 @@ void RuleEvaluator::ExportPlans(std::vector<PlanSlotReport>* out) const {
 }
 
 void RuleEvaluator::Evaluate(
-    const Interpretation& full, const Interpretation* delta, int delta_pos,
+    const Interpretation& full, const Delta* delta, int delta_pos,
     std::optional<std::pair<VarId, int64_t>> time_binding, EvalStats* stats,
     const std::function<void(GroundAtom&&)>& emit,
     std::vector<GroundAtom>* premises) const {
-  Bindings bindings(rule_.num_vars());
+  Scratch& scratch = *scratch_;
+  Bindings& bindings = scratch.bindings;
+  bindings.Reset(rule_.num_vars());
   if (time_binding.has_value()) {
     bindings.bound[time_binding->first] = 1;
     bindings.tval[time_binding->first] = time_binding->second;
   }
 
-  Trail trail;
+  Trail& trail = scratch.trail;
+  trail.clear();
 
   // Ground-instantiates `atom` under the current bindings into `*fact`
   // (complete for the head by range-restriction; complete for body atoms at
@@ -297,10 +422,10 @@ void RuleEvaluator::Evaluate(
   };
 
   // Scratch head atom. Sinks that drop duplicates without moving the atom
-  // leave `scratch.args`'s capacity behind, so the (dominant)
-  // duplicate-derivation case allocates nothing. Sinks never retain a
-  // reference past the call, so reuse is safe.
-  GroundAtom scratch;
+  // leave its capacity behind, so the (dominant) duplicate-derivation case
+  // allocates nothing. Sinks never retain a reference past the call, so
+  // reuse is safe.
+  GroundAtom& head = scratch.head;
   if (premises != nullptr) premises->resize(rule_.body.size());
   auto emit_head = [&]() {
     if (stats != nullptr) ++stats->derived;
@@ -309,8 +434,8 @@ void RuleEvaluator::Evaluate(
         instantiate_into(rule_.body[i], &(*premises)[i]);
       }
     }
-    instantiate_into(rule_.head, &scratch);
-    emit(std::move(scratch));
+    instantiate_into(rule_.head, &head);
+    emit(std::move(head));
   };
 
   const std::size_t nsteps = rule_.body.size();
@@ -327,45 +452,24 @@ void RuleEvaluator::Evaluate(
   if (nsteps > 0) {
     plan = GetOrBuildPlan(full, delta, norm_pos, time_binding.has_value());
 
-    // Immutable per-step facts, gathered once outside the hot loop.
-    struct StepInfo {
-      const Atom* atom;
-      std::size_t pos;
-      bool is_delta;
-      int probe_col;
-    };
-    std::vector<StepInfo> steps;
-    steps.reserve(nsteps);
+    std::vector<StepInfo>& steps = scratch.steps;
+    steps.clear();
     for (const JoinPlan::Step& s : plan->steps) {
       const bool is_delta = static_cast<int>(s.pos) == norm_pos;
-      steps.push_back({&rule_.body[s.pos], s.pos, is_delta, s.probe_col});
+      steps.push_back({&rule_.body[s.pos], is_delta, s.probe_col});
     }
+    std::vector<Frame>& frames = scratch.frames;
+    frames.resize(nsteps);
 
-    // One frame per join step. A frame enumerates the candidate rows of its
-    // atom: a bucket (index probe), a full relation scan, or — for an atom
-    // whose temporal variable is still free — a walk over the predicate's
-    // timeline, probing/scanning one snapshot cell at a time.
-    struct Frame {
-      const Relation* rel = nullptr;             // current cell, null = done
-      const std::vector<uint32_t>* bucket = nullptr;  // probe rows, or null
-      std::size_t idx = 0;                       // cursor into bucket/rel
-      const std::map<int64_t, Relation>* timeline = nullptr;
-      std::map<int64_t, Relation>::const_iterator tl_it;
-      VarId tvar = kNoVar;  // temporal var this frame binds per cell
-      std::size_t trail_mark = 0;
-    };
-    std::vector<Frame> frames(nsteps);
-
-    // Points the frame at one concrete relation (a non-temporal predicate
-    // or one snapshot cell), probing the planned column when its value is
-    // known, falling back to the first bound column, else scanning. Leaves
-    // `f->rel` null when the probe proves there are no candidates.
-    auto setup_cell = [&](Frame* f, const Interpretation& source,
-                          const Atom& atom, bool temporal, int64_t time,
-                          int planned_col) {
-      const Relation& rel = temporal ? source.Snapshot(atom.pred, time)
-                                     : source.NonTemporal(atom.pred);
-      if (rel.empty()) return;
+    // Points the frame at rows `[begin, end)` of one concrete relation (a
+    // non-temporal predicate or one snapshot cell), clipped to its visible
+    // rows, probing the planned column when its value is known, falling
+    // back to the first bound column, else scanning. Leaves `f->rel` null
+    // when there are no candidates.
+    auto setup_cell = [&](Frame* f, const Atom& atom, const Relation& rel,
+                          uint32_t begin, uint32_t end, int planned_col) {
+      if (std::min<std::size_t>(end, rel.visible_size()) <= begin) return;
+      f->end = end;
       if (use_index_) {
         auto known = [&](const NtTerm& t, SymbolId* out) {
           if (t.is_constant()) {
@@ -391,19 +495,40 @@ void RuleEvaluator::Evaluate(
           }
         }
         if (col >= 0) {
+          // Buckets hold ascending row ids: skip to the range's first row.
           const std::vector<uint32_t>* bucket =
               rel.Probe(static_cast<std::size_t>(col), value);
           if (bucket != nullptr) {
             f->rel = &rel;
             f->bucket = bucket;
-            f->idx = 0;
+            f->idx = begin == 0 ? 0
+                                : static_cast<std::size_t>(
+                                      std::lower_bound(bucket->begin(),
+                                                       bucket->end(), begin) -
+                                      bucket->begin());
           }
           return;
         }
       }
       f->rel = &rel;
       f->bucket = nullptr;
-      f->idx = 0;
+      f->idx = begin;
+    };
+
+    // Points the frame at the step's cell at `time` (ignored for a
+    // non-temporal atom): the delta's range there, or the model's cell.
+    auto setup_at = [&](Frame* f, const StepInfo& si, int64_t time) {
+      const Atom& atom = *si.atom;
+      if (si.is_delta) {
+        const Delta::Range* r = delta->Find(atom.pred, time);
+        if (r != nullptr) {
+          setup_cell(f, atom, *r->cell, r->begin, r->end, si.probe_col);
+        }
+        return;
+      }
+      const Relation& rel = atom.temporal() ? full.Snapshot(atom.pred, time)
+                                            : full.NonTemporal(atom.pred);
+      setup_cell(f, atom, rel, 0, kOpenEnd, si.probe_col);
     };
 
     auto enter = [&](std::size_t k) {
@@ -411,49 +536,58 @@ void RuleEvaluator::Evaluate(
       f.rel = nullptr;
       f.bucket = nullptr;
       f.idx = 0;
-      f.timeline = nullptr;
+      f.end = kOpenEnd;
       f.tvar = kNoVar;
       f.trail_mark = trail.size();
       const StepInfo& si = steps[k];
       const Atom& atom = *si.atom;
-      const Interpretation& source = si.is_delta ? *delta : full;
       if (!atom.temporal()) {
-        setup_cell(&f, source, atom, false, 0, si.probe_col);
+        setup_at(&f, si, 0);
         return;
       }
       const TemporalTerm& tt = *atom.time;
       if (tt.ground()) {
-        setup_cell(&f, source, atom, true, tt.offset, si.probe_col);
+        setup_at(&f, si, tt.offset);
         return;
       }
       if (bindings.bound[tt.var]) {
-        setup_cell(&f, source, atom, true, bindings.tval[tt.var] + tt.offset,
-                   si.probe_col);
+        setup_at(&f, si, bindings.tval[tt.var] + tt.offset);
         return;
       }
-      // Unbound temporal variable: walk the timeline; each usable cell
-      // binds it to `time - offset` (managed by the frame, outside the
-      // trail, and cleared when the frame pops).
-      f.timeline = &source.Timeline(atom.pred);
-      f.tl_it = f.timeline->begin();
+      // Unbound temporal variable: walk the cells; each usable cell binds
+      // it to `time - offset` (managed by the frame, outside the trail, and
+      // cleared when the frame pops).
+      if (si.is_delta) {
+        const std::span<const Delta::Range> rs = delta->ranges(atom.pred);
+        f.range_it = rs.data();
+        f.range_end = rs.data() + rs.size();
+      } else {
+        const auto& timeline = full.Timeline(atom.pred);
+        f.tl_it = timeline.begin();
+        f.tl_end = timeline.end();
+      }
       f.tvar = tt.var;
     };
 
     // Yields the next candidate (row of *rel) of frame `f`, advancing
-    // through timeline cells as the current one drains. The temporal
+    // through the walked cells as the current one drains. Cursors re-read
+    // the cell's visible rows and the bucket's length, so rows appended
+    // behind them are visited unless a watermark hides them. The temporal
     // variable's value must be a valid (>= 0) ground term, so cells with
     // `time < offset` are skipped.
     auto next_candidate = [&](Frame* f, const StepInfo& si, uint32_t* row,
                               const Relation** rel) {
       while (true) {
         if (f->rel != nullptr) {
+          const std::size_t limit =
+              std::min<std::size_t>(f->end, f->rel->visible_size());
           if (f->bucket != nullptr) {
-            if (f->idx < f->bucket->size()) {
+            if (f->idx < f->bucket->size() && (*f->bucket)[f->idx] < limit) {
               *row = (*f->bucket)[f->idx++];
               *rel = f->rel;
               return true;
             }
-          } else if (f->idx < f->rel->size()) {
+          } else if (f->idx < limit) {
             *row = static_cast<uint32_t>(f->idx++);
             *rel = f->rel;
             return true;
@@ -461,22 +595,32 @@ void RuleEvaluator::Evaluate(
           f->rel = nullptr;
           f->bucket = nullptr;
         }
-        if (f->timeline == nullptr) return false;
+        if (f->tvar == kNoVar) return false;
         const Atom& atom = *si.atom;
-        const Interpretation& source = si.is_delta ? *delta : full;
         const int64_t offset = atom.time->offset;
         bool cell_found = false;
-        while (f->tl_it != f->timeline->end()) {
-          const int64_t time = f->tl_it->first;
-          const bool cell_empty = f->tl_it->second.empty();
-          ++f->tl_it;
-          const int64_t value = time - offset;
-          if (value < 0 || cell_empty) continue;
-          bindings.bound[f->tvar] = 1;
-          bindings.tval[f->tvar] = value;
-          setup_cell(f, source, atom, true, time, si.probe_col);
-          cell_found = true;
-          break;
+        if (si.is_delta) {
+          while (f->range_it != f->range_end) {
+            const Delta::Range& r = *f->range_it++;
+            if (r.time < offset) continue;
+            bindings.bound[f->tvar] = 1;
+            bindings.tval[f->tvar] = r.time - offset;
+            setup_cell(f, atom, *r.cell, r.begin, r.end, si.probe_col);
+            cell_found = true;
+            break;
+          }
+        } else {
+          while (f->tl_it != f->tl_end) {
+            const int64_t time = f->tl_it->first;
+            const Relation& cell = f->tl_it->second;
+            ++f->tl_it;
+            if (time < offset || cell.visible_size() == 0) continue;
+            bindings.bound[f->tvar] = 1;
+            bindings.tval[f->tvar] = time - offset;
+            setup_cell(f, atom, cell, 0, kOpenEnd, si.probe_col);
+            cell_found = true;
+            break;
+          }
         }
         if (!cell_found) return false;
         // Loop: the fresh cell's probe may have yielded no bucket, in

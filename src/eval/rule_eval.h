@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -64,8 +65,10 @@ struct EvalContext {
 /// work measure used by the benchmark harness).
 ///
 /// The `*_ms` fields are per-phase wall-clock timers maintained by the
-/// fixpoint drivers: `derive_ms` covers rule evaluation, `merge_ms` covers
-/// folding the round delta into the full model. `min_new_time` is the
+/// fixpoint drivers: `derive_ms` covers rule evaluation, including each new
+/// fact's insert into the model; `merge_ms` covers publishing the round
+/// (collecting the next delta's ranges and clearing the cells' watermarks).
+/// `min_new_time` is the
 /// smallest time point that gained a temporal fact (INT64_MAX when none
 /// did) — the staleness bound consumed by the incremental horizon-extension
 /// loop.
@@ -89,13 +92,57 @@ struct EvalStats {
   }
 };
 
+/// The facts one semi-naive round consumes, as row ranges of the model: for
+/// each predicate, the cells that gained rows in the previous round and the
+/// rows `[begin, end)` each gained (whole cells for a fixpoint's first
+/// round). The ranges point into the model's cells, so a delta copies no
+/// fact, and it must not outlive them. Rebuilding keeps the buffers'
+/// capacity, so a steady round loop allocates nothing for its deltas.
+class Delta {
+ public:
+  struct Range {
+    PredicateId pred;
+    uint32_t begin;
+    uint32_t end;
+    int64_t time;  // 0 for a non-temporal predicate
+    const Relation* cell;
+  };
+
+  /// Ranges of `pred`, ascending by time.
+  std::span<const Range> ranges(PredicateId pred) const;
+  /// The range of `pred` at `time`; null when that cell gained nothing.
+  const Range* Find(PredicateId pred, int64_t time) const;
+  /// Rows over all ranges.
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Rebuilding: Clear, Add at most one non-empty range per cell in any
+  /// order, then Index.
+  void Clear();
+  void Add(const Range& range);
+  /// Adds every non-empty cell of `model` as a whole-cell range: temporal
+  /// cells at times `>= from_time`, plus the non-temporal relations when
+  /// `non_temporal`.
+  void AddCells(const Interpretation& model, int64_t from_time,
+                bool non_temporal);
+  void Index(std::size_t num_predicates);
+
+ private:
+  std::vector<Range> ranges_;  // by (pred, time) once indexed
+  // Ranges of predicate p: [pred_begin_[p], pred_begin_[p + 1]).
+  std::vector<uint32_t> pred_begin_;
+  std::size_t size_ = 0;
+};
+
 /// Evaluates one temporal Horn rule against an interpretation: enumerates
 /// every ground substitution `θ` with `body θ ⊆ I` and emits `head θ`
 /// (the single-rule slice of the paper's `T_{Z∧D}` operator, Section 3.2).
 ///
-/// Semi-naive evaluation restricts one body position to a delta
-/// interpretation; a pre-bound temporal variable supports the per-timestep
-/// forward simulator.
+/// Semi-naive evaluation restricts one body position to a delta; a
+/// pre-bound temporal variable supports the per-timestep forward simulator.
+/// Every position reads only the visible rows of the model's cells
+/// (`Relation::visible_size`), so the round that is appending to a cell
+/// does not see its own rows.
 ///
 /// Join planning: instead of matching body atoms in source order, the
 /// evaluator orders them by estimated selectivity (relation cardinalities
@@ -119,18 +166,21 @@ class RuleEvaluator {
   RuleEvaluator& operator=(RuleEvaluator&&) = delete;
 
   /// Enumerates instantiations. When `delta` is non-null, the body atom at
-  /// `delta_pos` is matched against `delta` instead of `full` (all other
-  /// atoms against `full`). When `time_binding` is set, the temporal
-  /// variable `time_binding->first` is pre-bound to `time_binding->second`.
-  /// Emitted ground atoms may repeat; the caller deduplicates on insert.
-  /// The emitted atom is a reused scratch: sinks may move from it but must
-  /// not keep a reference past the call.
+  /// `delta_pos` is matched against the delta's row ranges instead of all
+  /// of `full` (all other atoms against `full`). When `time_binding` is
+  /// set, the temporal variable `time_binding->first` is pre-bound to
+  /// `time_binding->second`. Emitted ground atoms may repeat; the caller
+  /// deduplicates on insert. The sink may insert into `full`: rows appended
+  /// behind a cursor are visited unless a watermark hides them. The emitted
+  /// atom is a reused scratch: sinks may move from it but must not keep a
+  /// reference past the call. An evaluator runs one Evaluate at a time; it
+  /// reuses its buffers across calls.
   ///
   /// When `premises` is non-null, it holds the instantiated ground body
   /// atoms (in source order) of the current instantiation during each
   /// `emit` call — the premises of the hyperresolution step, used by the
   /// provenance evaluator.
-  void Evaluate(const Interpretation& full, const Interpretation* delta,
+  void Evaluate(const Interpretation& full, const Delta* delta,
                 int delta_pos,
                 std::optional<std::pair<VarId, int64_t>> time_binding,
                 EvalStats* stats,
@@ -152,12 +202,13 @@ class RuleEvaluator {
   struct JoinPlan;
   struct PlanCache;
 
+  struct Scratch;
+
   std::unique_ptr<JoinPlan> BuildPlan(const Interpretation& full,
-                                      const Interpretation* delta,
-                                      int delta_pos, bool time_bound) const;
-  JoinPlan* GetOrBuildPlan(const Interpretation& full,
-                           const Interpretation* delta, int delta_pos,
-                           bool time_bound) const;
+                                      const Delta* delta, int delta_pos,
+                                      bool time_bound) const;
+  JoinPlan* GetOrBuildPlan(const Interpretation& full, const Delta* delta,
+                           int delta_pos, bool time_bound) const;
   std::size_t SlotKey(int delta_pos, bool time_bound) const;
 
   const Rule& rule_;
@@ -166,6 +217,9 @@ class RuleEvaluator {
   // Cached join plans, one slot per (delta_pos, time_bound) configuration.
   // Mutable: planning is an internal optimisation of const evaluation.
   mutable std::unique_ptr<PlanCache> plans_;
+  // Bindings, trail, join frames and head atom of Evaluate, kept across
+  // calls for their capacity.
+  mutable std::unique_ptr<Scratch> scratch_;
 };
 
 /// Snapshots the executed join plans of `evaluators` (indexed like

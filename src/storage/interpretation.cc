@@ -35,6 +35,16 @@ bool Interpretation::Insert(PredicateId pred, int64_t time, const Tuple& args) {
 
 bool Interpretation::Insert(PredicateId pred, int64_t time,
                             const SymbolId* args, std::size_t n) {
+  return InsertReturningCell(pred, time, args, n) != nullptr;
+}
+
+void Interpretation::ReservePredicates() {
+  if (vocab_->num_predicates() > 0) EnsurePred(vocab_->num_predicates() - 1);
+}
+
+Relation* Interpretation::InsertReturningCell(PredicateId pred, int64_t time,
+                                              const SymbolId* args,
+                                              std::size_t n) {
   EnsurePred(pred);
   Relation* rel;
   if (vocab_->predicate(pred).is_temporal) {
@@ -52,9 +62,9 @@ bool Interpretation::Insert(PredicateId pred, int64_t time,
   } else {
     rel = &non_temporal_[pred];
   }
-  if (!rel->Insert(args, n)) return false;
+  if (!rel->Insert(args, n)) return nullptr;
   ++size_;
-  return true;
+  return rel;
 }
 
 std::size_t Interpretation::SnapshotHash(int64_t time) const {

@@ -33,12 +33,22 @@ class Interpretation {
 
   /// Inserts a fact; returns true when it was new. For temporal predicates,
   /// `time` must be >= 0. The span overload copies `args[0..n)` straight
-  /// into the columnar store — the allocation-free path the fixpoint merge
-  /// loops use.
+  /// into the columnar store.
   bool Insert(const GroundAtom& fact);
   bool Insert(PredicateId pred, int64_t time, const Tuple& args);
   bool Insert(PredicateId pred, int64_t time, const SymbolId* args,
               std::size_t n);
+
+  /// Inserts like Insert and returns the cell that gained the fact, or null
+  /// when it was already present. The semi-naive rounds keep the cell's
+  /// watermark through it; the cell stays owned by the interpretation.
+  Relation* InsertReturningCell(PredicateId pred, int64_t time,
+                                const SymbolId* args, std::size_t n);
+
+  /// Allocates the slots of every predicate the vocabulary knows now, so
+  /// no later insert moves a non-temporal relation (callers that hold cell
+  /// pointers across inserts call this first).
+  void ReservePredicates();
 
   /// Inserts every fact of `db`.
   void InsertDatabase(const Database& db);

@@ -124,10 +124,7 @@ void Relation::GrowColumns() {
 }
 
 bool Relation::Insert(const SymbolId* data, std::size_t n) {
-  if (!arity_set_) {
-    arity_ = static_cast<uint32_t>(n);
-    arity_set_ = true;
-  }
+  if (num_rows_ == 0) arity_ = static_cast<uint32_t>(n);
   assert(n == arity_);
   const std::size_t hash = RowHash(data, n);
   std::size_t insert_slot = 0;
@@ -188,19 +185,29 @@ Relation::ColumnSide& Relation::Side(std::size_t col) const {
 }
 
 std::size_t Relation::DistinctInColumn(std::size_t col) const {
-  if (num_rows_ == 0 || col >= arity_) return 1;
+  const std::size_t rows = visible_size();
+  if (rows == 0 || col >= arity_) return 1;
   ColumnSide& side = Side(col);
-  uint32_t& rows_at = side.distinct_rows_at;
-  uint32_t& estimate = side.distinct_estimate;
-  if (rows_at != 0 && num_rows_ <= 2 * static_cast<std::size_t>(rows_at)) {
-    return estimate;
+  if (side.distinct_rows_at != 0 &&
+      rows <= 2 * static_cast<std::size_t>(side.distinct_rows_at)) {
+    return side.distinct_estimate;
   }
+  side.distinct_rows_at = static_cast<uint32_t>(rows);
+  side.distinct_estimate =
+      static_cast<uint32_t>(SampleDistinct(col, 0, rows));
+  return side.distinct_estimate;
+}
+
+std::size_t Relation::SampleDistinct(std::size_t col, std::size_t begin,
+                                     std::size_t end) const {
+  if (begin >= end || col >= arity_) return 1;
+  const std::size_t rows = end - begin;
   constexpr std::size_t kSample = 1024;
-  const std::size_t step = std::max<std::size_t>(1, num_rows_ / kSample);
+  const std::size_t step = std::max<std::size_t>(1, rows / kSample);
   std::vector<SymbolId> sample;
-  sample.reserve(std::min<std::size_t>(num_rows_, kSample + 1));
+  sample.reserve(std::min<std::size_t>(rows, kSample + 1));
   const SymbolId* column = cols_.data() + col * stride_;
-  for (std::size_t row = 0; row < num_rows_; row += step) {
+  for (std::size_t row = begin; row < end; row += step) {
     sample.push_back(column[row]);
   }
   std::sort(sample.begin(), sample.end());
@@ -211,15 +218,12 @@ std::size_t Relation::DistinctInColumn(std::size_t col) const {
     result = distinct;  // exact
   } else if (distinct == sample.size()) {
     // Every sampled value was fresh: treat the column as (near-)unique.
-    result = num_rows_;
+    result = rows;
   } else {
     // Constant-fan-out extrapolation: rows / (sampled / distinct).
-    result = std::max<std::size_t>(1, num_rows_ * distinct / sample.size());
+    result = std::max<std::size_t>(1, rows * distinct / sample.size());
   }
-  result = std::max<std::size_t>(1, std::min<std::size_t>(result, num_rows_));
-  rows_at = num_rows_;
-  estimate = static_cast<uint32_t>(result);
-  return result;
+  return std::max<std::size_t>(1, std::min<std::size_t>(result, rows));
 }
 
 const std::vector<uint32_t>* Relation::Probe(std::size_t col,

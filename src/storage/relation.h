@@ -1,6 +1,7 @@
 #ifndef CHRONOLOG_STORAGE_RELATION_H_
 #define CHRONOLOG_STORAGE_RELATION_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -36,6 +37,11 @@ namespace chronolog {
 /// and the index is kept up to date by `Insert`. Copies carry the side
 /// tables, so a copy answers probes from its own index.
 ///
+/// A semi-naive round appends to the cells it reads. A round watermark
+/// (`set_watermark`, the row count before the round's first append) hides
+/// the round's own rows from `visible_size()`, which is what the matcher
+/// and the planner read; without a watermark every row is visible.
+///
 /// Thread-safety: concurrent const access is safe except `DistinctInColumn`
 /// and `Probe`, which fill the side tables; they, like any write, need
 /// exclusive access.
@@ -46,6 +52,17 @@ class Relation {
   std::size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
   std::size_t arity() const { return arity_; }
+
+  /// Rows `[0, visible_size())` are the ones the running round may read:
+  /// all of them unless a watermark is set.
+  std::size_t visible_size() const { return std::min(num_rows_, watermark_); }
+  bool has_watermark() const { return watermark_ != kNoWatermark; }
+  /// Hides the rows at and above `rows` from `visible_size()` until
+  /// `clear_watermark()`.
+  void set_watermark(std::size_t rows) {
+    watermark_ = static_cast<uint32_t>(rows);
+  }
+  void clear_watermark() { watermark_ = kNoWatermark; }
 
   /// Value of column `col` in row `row`. No bounds checks in release builds.
   SymbolId at(std::size_t row, std::size_t col) const {
@@ -75,11 +92,17 @@ class Relation {
     return !(a == b);
   }
 
-  /// Estimated number of distinct values in column `col` (>= 1 when the
-  /// relation is non-empty). Sampled over at most ~1k rows and cached; the
-  /// cache refreshes once the relation doubles. Feeds the join planner's
-  /// bound-column fan-out estimates.
+  /// Estimated number of distinct values in column `col` among the visible
+  /// rows (>= 1 when there are any): `SampleDistinct` over
+  /// `[0, visible_size())`, cached until the visible rows double. Feeds the
+  /// join planner's bound-column fan-out estimates.
   std::size_t DistinctInColumn(std::size_t col) const;
+
+  /// Estimated number of distinct values in column `col` of rows
+  /// `[begin, end)`, from a strided sample of at most ~1k rows (exact for
+  /// smaller ranges); uncached. Returns 1 for an empty range.
+  std::size_t SampleDistinct(std::size_t col, std::size_t begin,
+                             std::size_t end) const;
 
   /// Hash-join probe: the row ids of the rows whose column `col` equals
   /// `value`, in insertion order, or nullptr when there are none. The
@@ -93,6 +116,7 @@ class Relation {
  private:
   static constexpr std::size_t kGroup = 8;
   static constexpr uint8_t kEmpty = 0x80;  // tags use only the low 7 bits
+  static constexpr uint32_t kNoWatermark = ~uint32_t{0};
 
   static std::size_t RowHash(const SymbolId* data, std::size_t n) {
     return Mix64(HashRange(data, n, n));
@@ -117,8 +141,9 @@ class Relation {
   std::vector<SymbolId> cols_;
   uint32_t stride_ = 0;
   uint32_t num_rows_ = 0;
+  // Fixed by the first insert; a relation without rows accepts any arity.
   uint32_t arity_ = 0;
-  bool arity_set_ = false;
+  uint32_t watermark_ = kNoWatermark;
 
   // Open-addressing dedup table in one block: `cap_` row-id slots, then
   // `cap_ + kGroup - 1` control bytes (the tail mirrors the first kGroup-1

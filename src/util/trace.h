@@ -14,8 +14,8 @@ namespace chronolog {
 /// chronolog_obs — the tracing half of the observability layer. A
 /// `TraceBuffer` is a bounded per-run event log; `TraceSpan` is the RAII
 /// scope that feeds it. Spans nest through a thread-local depth counter
-/// (fixpoint → round → derive/merge; forward-simulate → timestep/detection;
-/// period detector → doubling → extend/find/verify), so the exported JSON
+/// (fixpoint → round → derive/merge; period detector → doubling →
+/// extend/find/verify), so the exported JSON
 /// reconstructs the call tree without any interning or global state.
 ///
 /// All evaluators take a nullable `TraceBuffer*` next to their

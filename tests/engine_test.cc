@@ -260,7 +260,11 @@ TEST(EngineTest, TraceCapacityOptionBoundsTheBuffer) {
   EngineOptions options;
   options.collect_metrics = true;
   options.trace_capacity = 8;
-  auto tdd = TemporalDatabase::FromSource(workload::EvenSource(), options);
+  // A non-progressive program: verified doubling runs semi-naive rounds,
+  // and with a registry attached each round records its spans.
+  auto tdd = TemporalDatabase::FromSource(
+      workload::TokenRingSource({2, 3}) + "seen(X) :- tok(T, X).\n",
+      options);
   ASSERT_TRUE(tdd.ok()) << tdd.status();
   ASSERT_NE(tdd->trace(), nullptr);
   EXPECT_EQ(tdd->trace()->capacity(), 8u);

@@ -113,11 +113,16 @@ TEST(RuleEvalTest, DeltaPositionRestrictsMatching) {
   ParsedUnit unit = MustParse("r(X, Z) :- e(X, Y), e(Y, Z).\ne(a, b). e(b, c).");
   Interpretation full(unit.program.vocab_ptr());
   full.InsertDatabase(unit.database);
-  // Delta contains only e(a, b): with delta at position 0 we derive r(a, c);
-  // with delta at position 1 nothing (no fact e(Y=?, ...) matching e(a,b)
-  // as the second atom yields r only if first matches e(X, a)... none).
-  Interpretation delta(unit.program.vocab_ptr());
-  delta.Insert(MustAtom(unit, "e", 0, {"a", "b"}));
+  // Delta contains only e(a, b), the first row of `e`: with delta at
+  // position 0 we derive r(a, c); with delta at position 1 nothing (no fact
+  // e(Y=?, ...) matching e(a,b) as the second atom yields r only if first
+  // matches e(X, a)... none).
+  const PredicateId e = unit.program.vocab().FindPredicate("e");
+  ASSERT_EQ(full.NonTemporal(e).Row(0),
+            MustAtom(unit, "e", 0, {"a", "b"}).args);
+  Delta delta;
+  delta.Add({e, /*begin=*/0, /*end=*/1, /*time=*/0, &full.NonTemporal(e)});
+  delta.Index(unit.program.vocab().num_predicates());
   RuleEvaluator evaluator(unit.program.rules()[0], unit.program.vocab());
 
   std::vector<GroundAtom> at0;

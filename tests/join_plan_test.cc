@@ -26,22 +26,18 @@ ParsedUnit MustParse(std::string_view src) {
   return std::move(unit).value();
 }
 
-// Splits the parsed database into the full interpretation and a delta
+// Loads the parsed database into the full interpretation and a delta
 // holding only the temporal facts (the shape of a semi-naive round).
-void LoadSkewed(const ParsedUnit& unit, Interpretation* full,
-                Interpretation* delta) {
+void LoadSkewed(const ParsedUnit& unit, Interpretation* full, Delta* delta) {
   full->InsertDatabase(unit.database);
-  for (const GroundAtom& f : unit.database.facts()) {
-    if (unit.program.vocab().predicate(f.pred).is_temporal) {
-      delta->Insert(f);
-    }
-  }
+  delta->AddCells(*full, /*from_time=*/0, /*non_temporal=*/false);
+  delta->Index(unit.program.vocab().num_predicates());
 }
 
 // Builds the evaluator's plan for one (delta_pos, time_bound) configuration
 // by evaluating it once into a no-op sink.
 void BuildPlan(const RuleEvaluator& ev, const Rule& rule,
-               const Interpretation& full, const Interpretation* delta,
+               const Interpretation& full, const Delta* delta,
                int delta_pos, bool time_bound) {
   std::optional<std::pair<VarId, int64_t>> binding;
   if (time_bound) binding = std::make_pair(rule.head.time->var, int64_t{0});
@@ -57,7 +53,7 @@ TEST(JoinPlanTest, SkewedWorkloadOrdersNarrowBeforeWide) {
   ParsedUnit unit = MustParse(workload::SkewedJoinSource(64));
   ASSERT_EQ(unit.program.rules().size(), 1u);
   Interpretation full(unit.program.vocab_ptr());
-  Interpretation delta(unit.program.vocab_ptr());
+  Delta delta;
   LoadSkewed(unit, &full, &delta);
 
   RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
@@ -78,11 +74,11 @@ TEST(JoinPlanTest, PlanOrderIsDeterministic) {
   for (int run = 0; run < 2; ++run) {
     ParsedUnit unit = MustParse(workload::SkewedJoinSource(32));
     Interpretation full(unit.program.vocab_ptr());
-    Interpretation delta(unit.program.vocab_ptr());
+    Delta delta;
     LoadSkewed(unit, &full, &delta);
     RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
     for (int delta_pos = -1; delta_pos < 3; ++delta_pos) {
-      const Interpretation* d = delta_pos < 0 ? nullptr : &delta;
+      const Delta* d = delta_pos < 0 ? nullptr : &delta;
       for (bool time_bound : {false, true}) {
         BuildPlan(ev, unit.program.rules()[0], full, d, delta_pos,
                   time_bound);
@@ -116,7 +112,7 @@ TEST(JoinPlanTest, PlannerAvoidsWideScanOnSkewedWorkload) {
 TEST(JoinPlanTest, ExportPlansReportsBuiltSlots) {
   ParsedUnit unit = MustParse(workload::SkewedJoinSource(64));
   Interpretation full(unit.program.vocab_ptr());
-  Interpretation delta(unit.program.vocab_ptr());
+  Delta delta;
   LoadSkewed(unit, &full, &delta);
   RuleEvaluator ev(unit.program.rules()[0], unit.program.vocab());
 

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "serve/registry.h"
 #include "util/metrics.h"
 #include "util/trace.h"
+#include "workload/generators.h"
 
 namespace chronolog {
 namespace {
@@ -207,6 +209,25 @@ TEST(EngineMetricsTest, CollectMetricsPopulatesDoublingInstruments) {
   EXPECT_GT(tdd->metrics()->counter("period.doublings")->value(), 0u);
   EXPECT_GT(tdd->metrics()->histogram("period.extend_ns")->count(), 0u);
   EXPECT_GT(tdd->metrics()->counter("fixpoint.rounds")->value(), 0u);
+}
+
+// Long runs keep the trace small: the forward simulator records no span per
+// timestep (its per-timestep histograms carry that), so registering rings/6
+// (30030 timesteps) and even leaves only a handful of spans per database.
+TEST(EngineMetricsTest, RegisteringLongForwardRunsKeepsTheTraceSmall) {
+  DatabaseRegistry registry;
+  ASSERT_TRUE(registry
+                  .AddFromSource("rings6", workload::TokenRingSource(
+                                               {2, 3, 5, 7, 11, 13}))
+                  .ok());
+  ASSERT_TRUE(registry.AddFromSource("even", workload::EvenSource()).ok());
+  for (const std::string& name : registry.names()) {
+    const TraceBuffer* trace = registry.Find(name)->tdd.trace();
+    ASSERT_NE(trace, nullptr) << name;
+    EXPECT_GT(trace->size(), 0u) << name;
+    EXPECT_LT(trace->size(), 1000u) << name;
+    EXPECT_EQ(trace->dropped(), 0u) << name;
+  }
 }
 
 // --- PR 5 exporters -------------------------------------------------------

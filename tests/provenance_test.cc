@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <string>
+#include <vector>
+
 #include "ast/parser.h"
 #include "core/engine.h"
 #include "eval/fixpoint.h"
@@ -55,6 +59,44 @@ TEST(ProvenanceTest, ForestMatchesFixpoint) {
   EXPECT_EQ(forest_stats.inserted, model_stats.inserted);
   EXPECT_EQ(forest_stats.match_steps, model_stats.match_steps);
   EXPECT_GT(forest_stats.inserted, 0u);
+}
+
+// The derivation hook fires exactly once per derived fact, also when a
+// round inserts into a cell that a later (rule, position) pair of the same
+// round reads: the forest holds one node per model fact.
+TEST(ProvenanceTest, OneProofNodePerModelFact) {
+  std::string chain;
+  for (int i = 0; i + 1 < 12; ++i) {
+    chain += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+             ").\n";
+  }
+  for (const std::string& source :
+       {"tc(X, Y) :- e(X, Y).\ntc(X, Z) :- tc(X, Y), e(Y, Z).\n"
+        "tc(X, Z) :- tc(X, Y), tc(Y, Z).\n" + chain,
+        "q(T, Y) :- q(T, X), e(X, Y).\nq(T+1, X) :- q(T, X).\nq(0, c0).\n" +
+            chain}) {
+    ParsedUnit unit = MustParse(source);
+    FixpointOptions options;
+    options.max_time = 6;
+    std::unordered_set<GroundAtom, GroundAtomHash> seen;
+    uint64_t calls = 0;
+    EvalStats stats;
+    auto model = SemiNaiveFixpoint(
+        unit.program, unit.database, options, &stats,
+        [&](std::size_t, const GroundAtom& fact,
+            const std::vector<GroundAtom>&) {
+          ++calls;
+          EXPECT_TRUE(seen.insert(fact).second) << "fact reported twice";
+        });
+    ASSERT_TRUE(model.ok()) << model.status();
+    EXPECT_EQ(calls + unit.database.facts().size(), model->size());
+    EXPECT_EQ(stats.inserted, model->size());
+    ProofForest forest = MustForest(unit, options.max_time);
+    EXPECT_EQ(forest.nodes().size(), model->size());
+    model->ForEach([&](PredicateId pred, int64_t t, const Tuple& args) {
+      EXPECT_TRUE(forest.Contains(GroundAtom(pred, t, args)));
+    });
+  }
 }
 
 TEST(ProvenanceTest, ProofsAreWellFormed) {
