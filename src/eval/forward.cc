@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/printer.h"
@@ -11,52 +10,44 @@
 
 namespace chronolog {
 
-namespace {
-
-/// Temporal offset of an atom's time term; requires a non-ground term.
-int64_t VarOffset(const Atom& atom) { return atom.time->offset; }
-
-}  // namespace
-
 ProgressivityReport CheckProgressive(const Program& program) {
-  const Vocabulary& vocab = program.vocab();
+  ProgressivityReport report;
+  // Every rule is checked, so `reads_future` sees them all; the first
+  // violated condition is the reason.
+  auto violated = [&](const Rule& rule, const char* what) {
+    if (!report.progressive) return;
+    report.progressive = false;
+    report.reason = "rule '" + RuleToString(rule, program.vocab()) + "' ";
+    report.reason += what;
+  };
+  auto has_ground_time = [](const Atom& a) {
+    return a.temporal() && a.time->ground();
+  };
   for (const Rule& rule : program.rules()) {
-    if (!rule.IsSemiNormal()) {
-      return {false, "rule '" + RuleToString(rule, vocab) +
-                         "' has more than one temporal variable"};
+    const bool semi_normal = rule.IsSemiNormal();
+    const bool ground_head = has_ground_time(rule.head);
+    const bool var_head = rule.head.temporal() && !ground_head;
+    bool reads_later = false;
+    bool reads_temporal = false;
+    for (const Atom& atom : rule.body) {
+      reads_temporal |= atom.temporal();
+      reads_later |= var_head && atom.temporal() && !atom.time->ground() &&
+                     atom.time->offset > rule.head.time->offset;
     }
-    auto has_ground_time = [](const Atom& a) {
-      return a.temporal() && a.time->ground();
-    };
-    if (has_ground_time(rule.head)) {
-      return {false, "rule '" + RuleToString(rule, vocab) +
-                         "' has a ground temporal term in the head"};
+    report.reads_future |= !semi_normal || ground_head || reads_later;
+    if (!semi_normal) violated(rule, "has more than one temporal variable");
+    if (ground_head) violated(rule, "has a ground temporal term in the head");
+    if (std::any_of(rule.body.begin(), rule.body.end(), has_ground_time)) {
+      violated(rule, "has a ground temporal term in the body");
     }
-    for (const Atom& a : rule.body) {
-      if (has_ground_time(a)) {
-        return {false, "rule '" + RuleToString(rule, vocab) +
-                           "' has a ground temporal term in the body"};
-      }
+    if (reads_later) {
+      violated(rule, "consumes facts from the future of its head");
     }
-    if (rule.head.temporal()) {
-      int64_t a = VarOffset(rule.head);
-      for (const Atom& atom : rule.body) {
-        if (atom.temporal() && VarOffset(atom) > a) {
-          return {false, "rule '" + RuleToString(rule, vocab) +
-                             "' consumes facts from the future of its head"};
-        }
-      }
-    } else {
-      for (const Atom& atom : rule.body) {
-        if (atom.temporal()) {
-          return {false, "rule '" + RuleToString(rule, vocab) +
-                             "' derives a non-temporal fact from temporal "
-                             "ones"};
-        }
-      }
+    if (!rule.head.temporal() && reads_temporal) {
+      violated(rule, "derives a non-temporal fact from temporal ones");
     }
   }
-  return {true, ""};
+  return report;
 }
 
 Result<PeriodDetection> ForwardSimulate(
@@ -151,15 +142,18 @@ Result<PeriodDetection> ForwardSimulate(
   // Phase 0: the non-temporal part, a plain Datalog fixpoint.
   CHRONOLOG_RETURN_IF_ERROR(close(std::nullopt, /*repeat=*/true));
 
-  // Window detection (FindRepeatedWindow): the start time of the latest
-  // window of g states seen per window hash. Each state is hashed once, when
-  // its timestep closes (Interpretation::SnapshotHash), and cached here — no
-  // State is ever extracted during simulation; a candidate with an equal
-  // window hash is verified against the live snapshots directly.
-  std::vector<std::size_t> state_hashes;
-  std::unordered_map<std::size_t, int64_t> window_starts;
-  auto snapshots_equal = [&model](int64_t s, int64_t t) {
+  // Window detection: each state gets an exact id (DenseIds) when its
+  // timestep closes — SnapshotHash, a hit confirmed by SnapshotEquals, no
+  // State ever extracted — and each window of g consecutive state ids gets
+  // an id of its own.
+  std::vector<int64_t> ids;
+  DenseIds state_ids;
+  DenseIds window_ids;
+  auto states_equal = [&model](int64_t s, int64_t t) {
     return model.SnapshotEquals(s, t);
+  };
+  auto windows_equal = [&ids, g](int64_t s, int64_t t) {
+    return std::equal(ids.begin() + s, ids.begin() + s + g, ids.begin() + t);
   };
 
   for (int64_t t = 0;; ++t) {
@@ -178,7 +172,7 @@ Result<PeriodDetection> ForwardSimulate(
     CHRONOLOG_RETURN_IF_ERROR(close(t, same_time_feedback));
 
     step_timer.Stop();
-    state_hashes.push_back(model.SnapshotHash(t));
+    ids.push_back(state_ids.Intern(model.SnapshotHash(t), t, states_equal));
     result.horizon = t;
 
     PhaseTimer detect_timer(metrics != nullptr, /*field=*/nullptr,
@@ -187,13 +181,18 @@ Result<PeriodDetection> ForwardSimulate(
     // s >= c+1 evolve deterministically (no database injection past c).
     int64_t s = t - g + 1;  // start of the newest complete window
     if (s < c + 1) continue;
-    int64_t k = 0;
-    int64_t p = 0;
-    if (!FindRepeatedWindow(state_hashes, g, s, &window_starts,
-                            snapshots_equal, &k, &p)) {
-      continue;
+    const int64_t s1 = window_ids.First(window_ids.Intern(
+        HashRange(ids.data() + s, static_cast<std::size_t>(g)), s,
+        windows_equal));
+    if (s1 == s) continue;  // a new window
+    // The window at s repeats the one at s1, so the cycle has length
+    // p = s - s1; states agree at distance p from the cycle entry k on.
+    const int64_t p = s - s1;
+    int64_t k = s1;
+    while (k > 0 && ids[static_cast<std::size_t>(k - 1)] ==
+                        ids[static_cast<std::size_t>(k - 1 + p)]) {
+      --k;
     }
-    // First repeat: cycle entry k, exact cycle length p.
     result.period.b = std::max<int64_t>(0, k - c);
     result.period.p = p;
     ExportPlanReport(evaluators, options.plan_report);

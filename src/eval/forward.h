@@ -1,9 +1,9 @@
 #ifndef CHRONOLOG_EVAL_FORWARD_H_
 #define CHRONOLOG_EVAL_FORWARD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ast/program.h"
@@ -38,9 +38,9 @@ struct PeriodDetectionOptions : EvalContext {
 
 /// Outcome of period detection: the minimal period of `M_{Z∧D}` and the
 /// least model materialised far enough to build a relational specification.
-/// Per-time states are not materialised (detection reads the model's
-/// snapshot hashes and compares snapshots in place); callers that want them
-/// use ExtractStates(model, 0, horizon).
+/// Per-time states are not materialised (detection interns each snapshot
+/// to an exact dense id in place, DenseIds); callers that want them use
+/// ExtractStates(model, 0, horizon).
 struct PeriodDetection {
   Period period;
   int64_t c = 0;        // max temporal depth of the database
@@ -53,54 +53,70 @@ struct PeriodDetection {
   EvalStats stats;
 };
 
-/// Start of the agreeing suffix of period `p` that ends at `end`: the
-/// smallest `k <= end` such that, for every `t` in `[k, end)`, the states at
-/// `t` and `t + p` agree — their hashes are equal and `equal(t, t + p)`
-/// confirms it. Hash inequality refutes in O(1); `equal` is the exact check
-/// (Interpretation::SnapshotEquals in the detectors, a constant `true` to
-/// trust hash agreement). Both detectors find cycle entries with it.
-template <typename Equal>
-int64_t AgreeingSuffixStart(const std::vector<std::size_t>& hashes, int64_t p,
-                            int64_t end, const Equal& equal) {
-  int64_t k = end;
-  while (k > 0 && hashes[static_cast<std::size_t>(k - 1)] ==
-                      hashes[static_cast<std::size_t>(k - 1 + p)] &&
-         equal(k - 1, k - 1 + p)) {
-    --k;
+/// Dense ids for the values at positions 0, 1, 2, ... of a sequence — the
+/// states `M[t]` of a model, or windows of state ids: two positions get the
+/// same id exactly when their values are equal. A flat open-addressing table
+/// maps a value's hash to the id of the first position interned with it; a
+/// hash hit is confirmed with one exact `equal(first, t)`, so hash collisions
+/// cost a compare and never merge distinct values. Positions are interned in
+/// increasing order, so ids and their first positions ascend together.
+class DenseIds {
+ public:
+  /// Id of the value at `t`: the id of the first interned position with an
+  /// equal value, or the fresh id `size()`. `equal(s, t)` compares the values
+  /// at positions `s` and `t` exactly.
+  template <typename Equal>
+  int64_t Intern(std::size_t hash, int64_t t, const Equal& equal) {
+    if (2 * (first_.size() + 1) > slots_.size()) {
+      Rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Mix64(hash) & mask;; i = (i + 1) & mask) {
+      const int64_t id = slots_[i];
+      if (id < 0) {
+        slots_[i] = size();
+        first_.push_back(t);
+        hash_.push_back(hash);
+        return slots_[i];
+      }
+      if (hash_[static_cast<std::size_t>(id)] == hash &&
+          equal(first_[static_cast<std::size_t>(id)], t)) {
+        return id;
+      }
+    }
   }
-  return k;
-}
 
-/// The forward detector's check once the window of `g` states starting at
-/// `s` is complete. `starts` maps a window hash to the latest start seen
-/// with that hash. True when the window repeats the one at `s1 < s`: the
-/// agreeing suffix of period `p = s - s1` ending at `s1 + g` reaches `s1`
-/// (both windows are equal), and continues down to the cycle entry `*k_out`;
-/// `*p_out = p`. Otherwise records `s`, overwriting the older start on a
-/// window-hash collision between distinct windows: if that start was the
-/// cycle entry, its successor windows (indexed under other hashes) still
-/// repeat, so detection ends a few steps later with the same `(k, p)`.
-template <typename Equal>
-bool FindRepeatedWindow(const std::vector<std::size_t>& hashes, int64_t g,
-                        int64_t s, std::unordered_map<std::size_t, int64_t>*
-                                       starts,
-                        const Equal& equal, int64_t* k_out, int64_t* p_out) {
-  std::size_t window_hash = static_cast<std::size_t>(g);
-  for (int64_t i = 0; i < g; ++i) {
-    HashCombine(window_hash, hashes[static_cast<std::size_t>(s + i)]);
+  /// The position that first got `id`.
+  int64_t First(int64_t id) const {
+    return first_[static_cast<std::size_t>(id)];
   }
-  auto [seen, inserted] = starts->try_emplace(window_hash, s);
-  if (inserted) return false;
-  const int64_t s1 = seen->second;
-  const int64_t k = AgreeingSuffixStart(hashes, s - s1, s1 + g, equal);
-  if (k > s1) {
-    seen->second = s;
-    return false;
+  int64_t size() const { return static_cast<int64_t>(first_.size()); }
+
+  /// Drops the ids first seen at or after position `t`, for when the values
+  /// there have changed. Ids first seen earlier keep naming their values.
+  void ForgetFrom(int64_t t) {
+    const std::size_t keep = static_cast<std::size_t>(
+        std::lower_bound(first_.begin(), first_.end(), t) - first_.begin());
+    if (keep == first_.size()) return;
+    first_.resize(keep);
+    hash_.resize(keep);
+    Rehash(slots_.size());
   }
-  *k_out = k;
-  *p_out = s - s1;
-  return true;
-}
+
+ private:
+  void Rehash(std::size_t capacity) {
+    slots_.assign(capacity, -1);
+    for (std::size_t id = 0; id < hash_.size(); ++id) {
+      std::size_t i = Mix64(hash_[id]) & (capacity - 1);
+      while (slots_[i] >= 0) i = (i + 1) & (capacity - 1);
+      slots_[i] = static_cast<int64_t>(id);
+    }
+  }
+
+  std::vector<int64_t> slots_;  // id per slot, -1 when empty; power of two
+  std::vector<int64_t> first_;  // first position per id, ascending
+  std::vector<std::size_t> hash_;  // value hash per id
+};
 
 /// Whether a program is *progressive*: information flows forward in time
 /// only, so the least model can be computed timestep by timestep and its
@@ -115,8 +131,14 @@ bool FindRepeatedWindow(const std::vector<std::size_t>& hashes, int64_t g,
 ///
 /// Every normal program produced by the paper's constructions (inflationary
 /// examples, multi-separable programs, temporalised Datalog) is progressive.
+///
+/// `reads_future` marks the programs whose truncated model on `[0...m]` can
+/// miss facts just below `m` because their support lies past `m`: a rule
+/// that is not semi-normal, has a ground head time, or has a non-ground
+/// temporal body atom whose offset exceeds its head's.
 struct ProgressivityReport {
   bool progressive = true;
+  bool reads_future = false;
   std::string reason;  // first violated condition, for diagnostics
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "eval/fixpoint.h"
 #include "util/metrics.h"
@@ -17,6 +18,37 @@ int64_t NextDoublingHorizon(int64_t m, int64_t max_horizon) {
   return 2 * m;
 }
 
+bool FindMinimalPeriod(std::span<const int64_t> ids, int64_t min_cycles,
+                       int64_t* k_out, int64_t* p_out) {
+  const int64_t n = static_cast<int64_t>(ids.size());
+  const int64_t max_p = n / (min_cycles + 1);
+  auto reversed = [&](int64_t i) {
+    return ids[static_cast<std::size_t>(n - 1 - i)];
+  };
+  // Z-function of the reversed ids, computed up to max_p; [l, r) is the
+  // rightmost segment known to match a prefix.
+  std::vector<int64_t> z(static_cast<std::size_t>(max_p) + 1, 0);
+  int64_t l = 0;
+  int64_t r = 0;
+  for (int64_t p = 1; p <= max_p; ++p) {
+    int64_t& zp = z[static_cast<std::size_t>(p)];
+    if (p < r) zp = std::min(r - p, z[static_cast<std::size_t>(p - l)]);
+    while (p + zp < n && reversed(zp) == reversed(p + zp)) ++zp;
+    if (p + zp > r) {
+      l = p;
+      r = p + zp;
+    }
+    const int64_t k = n - p - zp;
+    if (k == n - p) continue;  // no trailing agreement at all
+    if (n - k >= (min_cycles + 1) * p) {
+      *k_out = k;
+      *p_out = p;
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 /// Starting window of verified doubling, before widening to the database
@@ -26,7 +58,7 @@ constexpr int64_t kStartHorizon = 64;
 Result<PeriodDetection> DetectByDoubling(const Program& program,
                                          const Database& db,
                                          const PeriodDetectionOptions& options,
-                                         int64_t c) {
+                                         int64_t c, bool reads_future) {
   TraceSpan span(options.trace, "period.doubling");
   // chronolog_obs instruments, fetched up front (see RunSemiNaiveRounds);
   // null when no registry is attached.
@@ -35,13 +67,11 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
   Histogram* extend_hist = nullptr;
   Histogram* update_hist = nullptr;
   Histogram* find_hist = nullptr;
-  Histogram* verify_hist = nullptr;
   if (metrics != nullptr) {
     doublings_counter = metrics->counter("period.doublings");
     extend_hist = metrics->histogram("period.extend_ns");
     update_hist = metrics->histogram("period.update_ns");
     find_hist = metrics->histogram("period.find_ns");
-    verify_hist = metrics->histogram("period.verify_ns");
   }
 
   PeriodDetection result{Period{}, c, 0, Interpretation(program.vocab_ptr()),
@@ -54,17 +84,20 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
   if (g <= (m - 4) / 4 && c <= m - (4 * g + 4)) m = c + 4 * g + 4;
   m = std::max(kStartHorizon, m);
 
-  // The model and its state hashes persist across doublings: probing
-  // horizon 2m extends the closed horizon-m model instead of recomputing it
+  // The model and its state ids persist across doublings: probing horizon
+  // 2m extends the closed horizon-m model instead of recomputing it
   // (ExtendFixpoint), and only the states the extension may have changed
-  // are rehashed.
+  // are interned again.
   Interpretation model(program.vocab_ptr());
-  std::vector<std::size_t> hashes;
-  int64_t prev_m = -1;
-  DoublingScan scan;
+  std::vector<int64_t> ids;
+  DenseIds state_ids;
   auto snapshots_equal = [&model](int64_t s, int64_t t) {
     return model.SnapshotEquals(s, t);
   };
+  int64_t prev_m = -1;
+  bool have_candidate = false;
+  int64_t prev_k = -1;
+  int64_t prev_p = -1;
 
   while (m <= options.max_horizon) {
     if (doublings_counter != nullptr) doublings_counter->Add();
@@ -85,44 +118,52 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
             model,
             ExtendFixpoint(program, db, std::move(model), prev_m, fp,
                            &round_stats));
-        // Hashes strictly below the earliest time the extension touched are
-        // unchanged (a non-progressive extension can rewrite history: newly
-        // admitted facts feed backward rules).
+        // States strictly below the earliest time the extension touched
+        // are unchanged (a non-progressive extension can rewrite history:
+        // newly admitted facts feed backward rules).
         changed_from = std::min(prev_m + 1, round_stats.min_new_time);
       }
     }
     {
-      // Hash the states of the changed suffix only; earlier hashes are
-      // unchanged.
+      // Intern the states of the changed suffix only; the ids of earlier
+      // states, and the ids first seen there, stay valid.
       TraceSpan update_span(options.trace, "period.update");
       PhaseTimer update_timer(metrics != nullptr, /*field=*/nullptr,
                               update_hist);
-      hashes.resize(static_cast<std::size_t>(m) + 1);
+      state_ids.ForgetFrom(changed_from);
+      ids.resize(static_cast<std::size_t>(changed_from));
       for (int64_t t = changed_from; t <= m; ++t) {
-        hashes[static_cast<std::size_t>(t)] = model.SnapshotHash(t);
+        ids.push_back(
+            state_ids.Intern(model.SnapshotHash(t), t, snapshots_equal));
       }
     }
     result.stats.Add(round_stats);
 
-    bool stable;
+    // A program that reads the future can lack facts just below m whose
+    // support lies past m; only the prefix the extension left unchanged is
+    // settled.
+    const std::size_t scanned = reads_future && prev_m >= 0
+                                    ? static_cast<std::size_t>(changed_from)
+                                    : ids.size();
+    int64_t k = 0;
+    int64_t p = 0;
+    bool found;
     {
       TraceSpan find_span(options.trace, "period.find");
       PhaseTimer find_timer(metrics != nullptr, /*field=*/nullptr, find_hist);
-      stable = ScanForStableCandidate(hashes, snapshots_equal, &scan);
+      found = FindMinimalPeriod(std::span(ids).first(scanned),
+                                /*min_cycles=*/3, &k, &p);
     }
-    if (stable) {
-      TraceSpan verify_span(options.trace, "period.verify");
-      PhaseTimer verify_timer(metrics != nullptr, /*field=*/nullptr,
-                              verify_hist);
-      if (VerifyStableCandidate(hashes, snapshots_equal, &scan)) {
-        verify_timer.Stop();
-        result.period.b = std::max<int64_t>(0, scan.k - c);
-        result.period.p = scan.p;
-        result.horizon = m;
-        result.model = std::move(model);
-        return result;
-      }
+    if (found && have_candidate && k == prev_k && p == prev_p) {
+      result.period.b = std::max<int64_t>(0, k - c);
+      result.period.p = p;
+      result.horizon = m;
+      result.model = std::move(model);
+      return result;
     }
+    have_candidate = found;
+    prev_k = k;
+    prev_p = p;
     prev_m = m;
     m = NextDoublingHorizon(m, options.max_horizon);
     if (m < 0) break;
@@ -138,10 +179,10 @@ Result<PeriodDetection> DetectByDoubling(const Program& program,
 Result<PeriodDetection> DetectPeriod(const Program& program,
                                      const Database& db,
                                      const PeriodDetectionOptions& options) {
-  if (CheckProgressive(program).progressive) {
-    return ForwardSimulate(program, db, options);
-  }
-  return DetectByDoubling(program, db, options, db.MaxTemporalDepth());
+  const ProgressivityReport report = CheckProgressive(program);
+  if (report.progressive) return ForwardSimulate(program, db, options);
+  return DetectByDoubling(program, db, options, db.MaxTemporalDepth(),
+                          report.reads_future);
 }
 
 }  // namespace chronolog

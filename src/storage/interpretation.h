@@ -76,14 +76,14 @@ class Interpretation {
   /// Content hash of the state `M[time]` (the snapshot with the temporal
   /// argument projected out), computed on demand from the cells at `time`:
   /// equals `State::FromInterpretation(*this, time).Hash()` without
-  /// materialising the state. Empty snapshots hash to 0. Equal hashes do not
-  /// prove equal states — verify collisions with SnapshotEquals. Only the
-  /// period detectors call this; nothing is maintained per insert.
+  /// materialising the state. Empty snapshots hash to 0. Only the period
+  /// detectors call this, to intern each state to an exact id (DenseIds in
+  /// eval/forward.h); nothing is maintained per insert.
   std::size_t SnapshotHash(int64_t time) const;
 
   /// Exact comparison of the states `M[t1]` and `M[t2]`, in place (no State
-  /// materialisation) — the hash-collision verification step of the period
-  /// detectors, whose callers have already compared SnapshotHash.
+  /// materialisation). DenseIds runs it on a SnapshotHash hit, so equal hashes
+  /// of distinct states never share an id.
   bool SnapshotEquals(int64_t t1, int64_t t2) const;
 
   /// Enumerates every stored fact. `fn` receives (pred, time, tuple); `time`

@@ -43,6 +43,7 @@ TEST(ProgressivityTest, BackwardRuleIsNotProgressive) {
   ParsedUnit unit = MustParse("p(T) :- p(T+1).\np(0).");
   ProgressivityReport report = CheckProgressive(unit.program);
   EXPECT_FALSE(report.progressive);
+  EXPECT_TRUE(report.reads_future);
   EXPECT_NE(report.reason.find("future"), std::string::npos);
 }
 
@@ -50,16 +51,32 @@ TEST(ProgressivityTest, TemporalToNonTemporalFeedbackIsNotProgressive) {
   ParsedUnit unit = MustParse("ever(X) :- p(T, X).\np(0, a).");
   ProgressivityReport report = CheckProgressive(unit.program);
   EXPECT_FALSE(report.progressive);
+  EXPECT_FALSE(report.reads_future);
 }
 
 TEST(ProgressivityTest, GroundTemporalTermIsNotProgressive) {
   ParsedUnit unit = MustParse("q(T) :- p(T), p(3).\np(0). p(3). q(0).");
   EXPECT_FALSE(CheckProgressive(unit.program).progressive);
+  EXPECT_FALSE(CheckProgressive(unit.program).reads_future);
+  EXPECT_TRUE(CheckProgressive(MustParse("q(5) :- p(T).\np(0).").program)
+                  .reads_future);
 }
 
 TEST(ProgressivityTest, TwoTemporalVariablesAreNotProgressive) {
   ParsedUnit unit = MustParse("r(0). s(0). p(0).\np(T) :- r(T), s(S).");
   EXPECT_FALSE(CheckProgressive(unit.program).progressive);
+  EXPECT_TRUE(CheckProgressive(unit.program).reads_future);
+}
+
+TEST(ProgressivityTest, EveryRuleIsCheckedAndTheFirstViolationIsTheReason) {
+  // The first rule makes the program non-progressive; only the second
+  // reads the future.
+  ParsedUnit unit =
+      MustParse("ever(X) :- p(T, X).\np(T, X) :- p(T+1, X).\np(0, a).");
+  ProgressivityReport report = CheckProgressive(unit.program);
+  EXPECT_FALSE(report.progressive);
+  EXPECT_TRUE(report.reads_future);
+  EXPECT_NE(report.reason.find("non-temporal"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

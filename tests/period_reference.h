@@ -9,10 +9,11 @@
 namespace chronolog {
 
 /// Reference minimal-period scan over explicitly materialised states (or
-/// any equality-comparable stand-ins), the from-scratch oracle the hash scan
-/// FindMinimalPeriod is checked against. Returns the minimal `(k, p)`
-/// (absolute start `k`, not yet normalised by `c`) such that
-/// `states[t] == states[t+p]` for all `t` in `[k, states.size()-1-p]`,
+/// any equality-comparable stand-ins), the from-scratch oracle the
+/// Z-function scan FindMinimalPeriod is checked against: one walk down per
+/// candidate `p`, independent of DenseIds and of the Z-function. Returns
+/// the minimal `(k, p)` (absolute start `k`, not yet normalised by `c`) such
+/// that `states[t] == states[t+p]` for all `t` in `[k, states.size()-1-p]`,
 /// preferring the smallest `p` whose evidence window spans at least
 /// `min_cycles` full cycles. Returns false when no candidate has enough
 /// evidence.
